@@ -325,7 +325,7 @@ def commutator_nilpotency_check(
 def run_check_suite(model: GradedAlgebraModel):
     """Full verification battery for one model; returns (report, cube)."""
     rep = CheckReport()
-    rep.merge(validate(model))
+    rep.merge(model.validation if model.validation is not None else validate(model))
 
     perv = perverse_filtration(model)
     rep.merge(verify_weight_axioms(perv.operator, perv.weight))

@@ -2,15 +2,20 @@
 
 ``sl2_complete`` produces, for a raising operator L and a diagonal grading
 H with [H, L] = 2L satisfying hard Lefschetz, the unique lowering partner
-with [H, Λ] = -2Λ and [L, Λ] = H.  It is built from the primitive
-decomposition: strings L^j p over primitives p (graded kernel vectors of
-the next power), with Λ(L^j p) = j(k-j+1) L^(j-1) p on a string of lowest
-weight -k.  Uniqueness is classical sl2 theory; the defining relations are
-re-verified exactly before returning.
+with [H, Λ] = -2Λ and [L, Λ] = H.  Both operators are homogeneous, so the
+construction runs one grading block at a time: L is sliced into its blocks
+from grading g to g+2, the restricted powers L^k from grading -k are
+products of those blocks, and the primitives of grading -k are the kernel
+of L^(k+1) there.  Over the strings L^j p of a primitive of lowest weight
+-k, Λ(L^j p) = j(k-j+1) L^(j-1) p, which gives each block of Λ as
+S_(g-2) C S_g^(-1) with S_g the string vectors of grading g.  Uniqueness
+is classical sl2 theory; [L, Λ] = H is re-verified exactly on every
+diagonal block before returning.
 
-``lie_closure`` span-saturates iterated brackets.  Operators are flattened
-to primitive integer vectors and reduced against a sparse exact RREF, so
-independence and membership decisions are certified, never numerical.
+``lie_closure`` span-saturates iterated brackets.  Operators are kept as
+sparse primitive integer dicts {i*D + j: entry} and reduced against a
+sparse exact RREF, so independence and membership decisions are
+certified, never numerical.
 """
 
 from __future__ import annotations
@@ -82,28 +87,62 @@ def _as_array(op) -> np.ndarray:
     return np.asarray(op, dtype=object)
 
 
+def _sparse(a: np.ndarray) -> dict:
+    """Nonzero entries of a square array as {i*D + j: entry}, row-major."""
+    D = a.shape[1]
+    rows, cols = np.nonzero(a)
+    return {i * D + j: a[i, j] for i, j in zip(rows.tolist(), cols.tolist())}
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for object arrays, multiplying nonzero entries only."""
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=object)
+    support = [np.flatnonzero(row) for row in b]
+    for i, k in zip(*np.nonzero(a)):
+        cols = support[k]
+        out[i, cols] += a[i, k] * b[k, cols]
+    return out
+
+
 def sl2_complete(L, H: GradingOperator) -> MatrixQ:
-    """The unique Λ with [H, Λ] = -2Λ and [L, Λ] = H."""
+    """The unique Λ with [H, Λ] = -2Λ and [L, Λ] = H.
+
+    Works on the grading blocks of L: checks [H, L] = 2L on its nonzero
+    entries, checks hard Lefschetz on each restricted power L^k from
+    grading -k, builds the primitive strings in local coordinates, inverts
+    the string matrix of each grading and forms Λ block by block.
+    """
     A = _as_array(L)
     lam = H.diag
     D = A.shape[0]
     if A.shape != (D, D) or len(lam) != D:
         raise DimensionMismatch("operator and grading sizes differ")
-    for i in range(D):
-        for j in range(D):
-            if A[i, j] and lam[i] - lam[j] != 2:
-                raise Sl2CompletionError(
-                    f"[H, L] != 2L: entry ({i}, {j}) connects grading {lam[j]} to {lam[i]}"
-                )
     coords: dict[int, list] = {}
     for c, v in enumerate(lam):
         coords.setdefault(v, []).append(c)
-    kmax = max((abs(v) for v in lam), default=0)
-    powers = [MatrixQ.identity(D).array]
-    for _ in range(kmax + 1):
-        powers.append(powers[-1] @ A)
+    local = {c: t for cs in coords.values() for t, c in enumerate(cs)}
 
-    for k in range(1, kmax + 1):
+    def zeros(g, width):
+        return np.zeros((len(coords.get(g, ())), width), dtype=object)
+
+    blocks = {g: zeros(g + 2, len(cs)) for g, cs in coords.items()}
+    for key, x in _sparse(A).items():
+        i, j = divmod(key, D)
+        if lam[i] - lam[j] != 2:
+            raise Sl2CompletionError(
+                f"[H, L] != 2L: entry ({i}, {j}) connects grading {lam[j]} to {lam[i]}"
+            )
+        blocks[lam[j]][local[i], local[j]] = x
+
+    def block(g):  # L from grading g to grading g + 2
+        return blocks[g] if g in blocks else zeros(g + 2, 0)
+
+    # strings over primitives: P_k = (grading -k) ∩ ker L^(k+1); per grading
+    # g, the string vectors L^j p lying there and their images under Λ
+    strings: dict[int, list] = {g: [] for g in coords}
+    images: dict[int, list] = {g: [] for g in coords}
+    kmax = max((abs(v) for v in lam), default=0)
+    for k in range(kmax + 1):
         lo = coords.get(-k, [])
         hi = coords.get(k, [])
         if len(lo) != len(hi):
@@ -113,63 +152,44 @@ def sl2_complete(L, H: GradingOperator) -> MatrixQ:
             )
         if not lo:
             continue
-        block = powers[k][np.ix_(hi, lo)]
-        r = MatrixQ.from_array(block).rank()
-        if r != len(lo):
-            raise Sl2CompletionError(
-                f"hard Lefschetz fails: L^{k} maps the grading -{k} piece (dim {len(lo)}) "
-                f"to a rank-{r} image in the grading {k} piece; no sl2 partner exists"
+        powers = [None, block(-k)]  # powers[j] = L^j restricted to grading -k
+        for j in range(1, k + 1):
+            powers.append(_dot(block(2 * j - k), powers[-1]))
+        if k:
+            r = MatrixQ.from_array(powers[k]).rank()
+            if r != len(lo):
+                raise Sl2CompletionError(
+                    f"hard Lefschetz fails: L^{k} maps the grading -{k} piece (dim {len(lo)}) "
+                    f"to a rank-{r} image in the grading {k} piece; no sl2 partner exists"
+                )
+        prim = kernel(MatrixQ.from_array(powers[k + 1])).basis_array().T
+        string = [prim] + [_dot(powers[j], prim) for j in range(1, k + 1)]
+        for j, vecs in enumerate(string):
+            strings[2 * j - k].append(vecs)
+            images[2 * j - k].append(
+                string[j - 1] * (j * (k - j + 1)) if j else zeros(-k - 2, prim.shape[1])
             )
+    spanned = sum(v.shape[1] for vs in strings.values() for v in vs)
+    if spanned != D:
+        raise Sl2CompletionError(f"primitive strings span {spanned} of {D} dimensions")
 
-    # strings over primitives: P_k = (grading -k) ∩ ker L^(k+1)
-    columns = []
-    lambda_pairs = []  # (src_col, dst_col, coefficient)
-    for k in range(0, kmax + 1):
-        mk = coords.get(-k, [])
-        if not mk:
-            continue
-        restricted = powers[k + 1][:, mk]
-        prim_local = kernel(MatrixQ.from_array(restricted))
-        for row in prim_local.grid:
-            p = np.zeros(D, dtype=object)
-            for t, c in enumerate(mk):
-                p[c] = row[t]
-            string = [p]
-            for _ in range(k):
-                string.append(A @ string[-1])
-            base = len(columns)
-            columns.extend(string)
-            for j in range(1, k + 1):
-                lambda_pairs.append((base + j, base + j - 1, Fraction(j * (k - j + 1))))
-    if len(columns) != D:
-        raise Sl2CompletionError(
-            f"primitive strings span {len(columns)} of {D} dimensions"
-        )
-    S = np.empty((D, D), dtype=object)
-    for c, col in enumerate(columns):
-        S[:, c] = col
-    lam_str = np.zeros((D, D), dtype=object)
-    for src, dst, coeff in lambda_pairs:
-        lam_str[dst, src] = coeff
-    S_m = MatrixQ.from_array(S)
-    lam_mat = MatrixQ.from_array(S @ lam_str @ inverse(S_m).array)
-
-    out = lam_mat.array
-    for i in range(D):
-        for j in range(D):
-            if out[i, j] and lam[i] - lam[j] != -2:
-                raise Sl2CompletionError("internal: partner does not lower the grading by 2")
-    comm = A @ out - out @ A
-    for i in range(D):
-        for j in range(D):
-            want = Fraction(lam[i]) if i == j else Fraction(0)
-            if comm[i, j] != want:
-                raise Sl2CompletionError("internal: [L, partner] != H")
-    return lam_mat
+    # Λ from grading g to g - 2 is S_(g-2) C S_g^(-1); then [L, Λ] = H blockwise
+    partner = {
+        g: _dot(np.hstack(images[g]), inverse(MatrixQ.from_array(np.hstack(strings[g]))).array)
+        for g in coords
+    }
+    out = np.zeros((D, D), dtype=object)
+    for g, cs in coords.items():
+        comm = _dot(block(g - 2), partner[g]) - _dot(partner.get(g + 2, zeros(g, 0)), block(g))
+        if not np.array_equal(comm, g * np.identity(len(cs), dtype=int)):
+            raise Sl2CompletionError("internal: [L, partner] != H")
+        if g - 2 in coords:
+            out[np.ix_(coords[g - 2], cs)] = partner[g]
+    return MatrixQ.from_array(out)
 
 
 # ---------------------------------------------------------------------------
-# exact sparse span arithmetic for flattened operators
+# exact sparse span arithmetic for operators as integer dicts
 # ---------------------------------------------------------------------------
 
 
@@ -182,6 +202,19 @@ def _primitive(v: dict) -> dict:
     if g > 1:
         v = {c: x // g for c, x in v.items()}
     return v
+
+
+def _eliminate(v: dict, row: dict, p: int) -> dict:
+    """row[p] * v - v[p] * row, which clears column p of v."""
+    c, rp = v[p], row[p]
+    out = {col: x * rp for col, x in v.items()}
+    for col, x in row.items():
+        y = out.get(col, 0) - x * c
+        if y:
+            out[col] = y
+        else:
+            out.pop(col, None)
+    return out
 
 
 class SpanReducer:
@@ -201,19 +234,10 @@ class SpanReducer:
 
     def _reduce(self, v: dict) -> dict:
         v = {c: x for c, x in v.items() if x}
-        for p, row in self.rows.items():
-            c = v.get(p)
-            if not c:
-                continue
-            rp = row[p]
-            out = {col: x * rp for col, x in v.items()}
-            for col, x in row.items():
-                y = out.get(col, 0) - x * c
-                if y:
-                    out[col] = y
-                else:
-                    out.pop(col, None)
-            v = out
+        # rows are fully back-reduced, so clearing one pivot of v leaves the
+        # others untouched and only the pivots v has on entry need clearing
+        for p in [p for p in v if p in self.rows]:
+            v = _eliminate(v, self.rows[p], p)
         return _primitive(v)
 
     def insert(self, v: dict) -> bool:
@@ -224,21 +248,11 @@ class SpanReducer:
         if r[piv] < 0:
             r = {c: -x for c, x in r.items()}
         for p, row in list(self.rows.items()):
-            c = row.get(piv)
-            if not c:
-                continue
-            rp = r[piv]
-            out = {col: x * rp for col, x in row.items()}
-            for col, x in r.items():
-                y = out.get(col, 0) - x * c
-                if y:
-                    out[col] = y
-                else:
-                    out.pop(col, None)
-            out = _primitive(out)
-            if out[p] < 0:
-                out = {col: -x for col, x in out.items()}
-            self.rows[p] = out
+            if piv in row:
+                out = _primitive(_eliminate(row, r, piv))
+                if out[p] < 0:
+                    out = {col: -x for col, x in out.items()}
+                self.rows[p] = out
         self.rows[piv] = r
         return True
 
@@ -255,55 +269,46 @@ class SpanReducer:
         return out
 
 
-def _integerize(a: np.ndarray) -> np.ndarray:
-    denom = 1
-    for x in a.flat:
-        if isinstance(x, Fraction):
-            denom = denom * x.denominator // math.gcd(denom, x.denominator)
-    out = np.empty(a.shape, dtype=object)
-    flat_out = []
-    g = 0
-    for x in a.flat:
-        v = int(x * denom) if isinstance(x, Fraction) else int(x) * denom
-        flat_out.append(v)
-        g = math.gcd(g, v if v >= 0 else -v)
-    if g > 1:
-        flat_out = [v // g for v in flat_out]
-    out[:] = np.array(flat_out, dtype=object).reshape(a.shape)
-    return out
+def _integer_entries(x) -> dict:
+    """Nonzero entries of an operator scaled to a primitive integer dict."""
+    v = _sparse(_as_array(x))
+    denom = math.lcm(1, *(e.denominator for e in v.values() if isinstance(e, Fraction)))
+    return _primitive({c: int(e * denom) for c, e in v.items()})
 
 
-def _flatten(a: np.ndarray, D: int) -> dict:
-    v = {}
-    for i in range(D):
-        for j in range(D):
-            x = a[i, j]
-            if x:
-                v[i * D + j] = int(x)
-    return v
+def _indexed(v: dict, D: int):
+    """Entries of a sparse operator grouped by row and by column."""
+    by_row, by_col = {}, {}
+    for key, x in v.items():
+        i, j = divmod(key, D)
+        by_row.setdefault(i, []).append((j, x))
+        by_col.setdefault(j, []).append((i, x))
+    return by_row, by_col
 
 
-def _triplets(a: np.ndarray):
-    out = []
-    for i in range(a.shape[0]):
-        for j in range(a.shape[1]):
-            if a[i, j]:
-                out.append((i, j, a[i, j]))
-    return out
+def _bracket(a: dict, b_rows: dict, b_cols: dict, D: int) -> dict:
+    """[a, b] = ab - ba with a sparse and b indexed by row and by column."""
+    out = {}
+    for key, x in a.items():
+        r, c = divmod(key, D)
+        for j, y in b_rows.get(c, ()):
+            k = r * D + j
+            out[k] = out.get(k, 0) + x * y
+        for i, y in b_cols.get(r, ()):
+            k = i * D + c
+            out[k] = out.get(k, 0) - x * y
+    return {k: x for k, x in out.items() if x}
 
 
 def bracket(a, b) -> MatrixQ:
     aa, bb = _as_array(a), _as_array(b)
-    return MatrixQ.from_array(aa @ bb - bb @ aa)
-
-
-def _bracket_dense_sparse(A: np.ndarray, trips, D: int) -> np.ndarray:
-    ab = np.zeros((D, D), dtype=object)
-    ba = np.zeros((D, D), dtype=object)
-    for i, j, v in trips:
-        ab[:, j] = ab[:, j] + A[:, i] * v
-        ba[i, :] = ba[i, :] + A[j, :] * v
-    return ab - ba
+    D = aa.shape[0]
+    if aa.shape != (D, D) or bb.shape != (D, D):
+        raise DimensionMismatch("bracket of operators of different sizes")
+    out = np.zeros((D, D), dtype=object)
+    for key, x in _bracket(_sparse(aa), *_indexed(_sparse(bb), D), D).items():
+        out[divmod(key, D)] = x
+    return MatrixQ.from_array(out)
 
 
 class LieSubalgebra:
@@ -318,8 +323,7 @@ class LieSubalgebra:
         return self._reducer.dim
 
     def contains_operator(self, x) -> bool:
-        a = _integerize(_as_array(x))
-        return self._reducer.contains(_flatten(a, self.op_dim))
+        return self._reducer.contains(_integer_entries(x))
 
     def basis_matrices(self):
         out = []
@@ -339,30 +343,22 @@ def lie_closure(generators) -> LieSubalgebra:
     identity that already saturates the generated subalgebra.  Terminates
     since the dimension is bounded by (ambient dim)^2.
     """
-    gens = [_as_array(g) for g in generators]
-    if not gens:
+    arrays = [_as_array(g) for g in generators]
+    if not arrays:
         raise ValueError("empty generator list")
-    D = gens[0].shape[0]
-    for g in gens:
+    D = arrays[0].shape[0]
+    for g in arrays:
         if g.shape != (D, D):
             raise DimensionMismatch("generators must be square of equal size")
-    gens = [_integerize(g) for g in gens]
-    gen_trips = [_triplets(g) for g in gens]
+    gens = [_integer_entries(g) for g in arrays]
+    indexed = [_indexed(g, D) for g in gens]
     reducer = SpanReducer()
-    accepted = []
-    queue = []
-    for g in gens:
-        if reducer.insert(_flatten(g, D)):
-            accepted.append(g)
-            queue.append(g)
+    queue = [g for g in gens if reducer.insert(g)]
     while queue:
         a = queue.pop()
-        for trips in gen_trips:
-            c = _bracket_dense_sparse(a, trips, D)
-            v = _flatten(c, D)
-            if v and reducer.insert(_primitive(v)):
-                c = _integerize(c)
-                accepted.append(c)
+        for rows, cols in indexed:
+            c = _primitive(_bracket(a, rows, cols, D))
+            if reducer.insert(c):
                 queue.append(c)
     return LieSubalgebra(D, reducer)
 
@@ -374,7 +370,7 @@ def membership(algebra: LieSubalgebra, x) -> bool:
         raise DimensionMismatch(
             f"operator is {a.shape}, algebra acts on {algebra.op_dim}x{algebra.op_dim}"
         )
-    return algebra.contains_operator(MatrixQ.from_array(a))
+    return algebra.contains_operator(a)
 
 
 # ---------------------------------------------------------------------------

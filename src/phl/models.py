@@ -63,10 +63,13 @@ class ModelError(ValueError):
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, np.integer)):
+    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
         return Fraction(int(x))
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise SpecError(f"not a rational: {x!r}")
 
 
@@ -184,17 +187,17 @@ class ModelSpec:
         n = doc.get("n", 1 if kind == "k3" else None)
         if n is None:
             raise SpecError("spec field 'n' is required for verbitsky models")
-        if not isinstance(n, int):
+        if type(n) is not int:  # JSON true/false are ints to Python
             raise SpecError("spec field 'n' must be an integer")
         b2 = doc.get("b2", 22 if kind == "k3" else None)
         if b2 is None:
             raise SpecError("spec field 'b2' is required for verbitsky models")
-        if not isinstance(b2, int):
+        if type(b2) is not int:
             raise SpecError("spec field 'b2' must be an integer")
         gram = None
         if "gram" in doc:
             raw = doc["gram"]
-            if not isinstance(raw, list) or any(not isinstance(r, list) for r in raw):
+            if not isinstance(raw, list) or not raw or any(not isinstance(r, list) for r in raw):
                 raise SpecError("spec field 'gram' must be a matrix of rational strings")
             g = np.empty((len(raw), len(raw[0])), dtype=object)
             for i, row in enumerate(raw):
@@ -305,9 +308,16 @@ class GradedAlgebraModel:
     ``mult[(a, b)]`` is the structure tensor of piece a times piece b with
     values in piece a+b (absent above the top degree).  All data is exact
     and immutable after construction.
+
+    ``validation`` is the ``validate`` report that ``build_model`` produced;
+    it is None for a model built any other way, including a
+    ``rescale_classes`` copy, so such a model is validated afresh.
     """
 
-    def __init__(self, kind, n, quad, dims, bidegrees, mult, integral_vec, classes, conj):
+    def __init__(
+        self, kind, n, quad, dims, bidegrees, mult, integral_vec, classes, conj,
+        pairing_kernels=None,
+    ):
         self.kind = kind
         self.n = n
         self.quad = quad
@@ -317,6 +327,8 @@ class GradedAlgebraModel:
         self.integral_vec = integral_vec  # functional on the top piece
         self.classes = classes
         self.conj = conj  # list of MatrixQ blocks, piece d
+        self.pairing_kernels = pairing_kernels  # {d: Subspace of Sym^d}, d > n (verbitsky)
+        self.validation = None
         self.pieces = 2 * n + 1
         self.offsets = [0]
         for d in range(self.pieces):
@@ -415,6 +427,7 @@ class GradedAlgebraModel:
         clone = object.__new__(GradedAlgebraModel)
         clone.__dict__.update(self.__dict__)
         clone.classes = cls
+        clone.validation = None
         return clone
 
 
@@ -570,12 +583,13 @@ def build_verbitsky(spec: ModelSpec) -> GradedAlgebraModel:
     idx = {d: {m: i for i, m in enumerate(mono[d])} for d in mono}
 
     pieces = []
+    kernels = {}
     for d in range(0, 2 * n + 1):
         if d <= n:
             pieces.append(_Piece(d, mono[d], None))
             continue
         pair_mat = _pairing_matrix(quad.gram, mono[d], mono[2 * n - d])
-        kern = kernel(MatrixQ.from_array(pair_mat.T))
+        kern = kernels[d] = kernel(MatrixQ.from_array(pair_mat.T))
         piece = _Piece(d, mono[d], kern)
         if piece.dim != len(mono[2 * n - d]):
             raise ModelError(
@@ -639,6 +653,7 @@ def build_verbitsky(spec: ModelSpec) -> GradedAlgebraModel:
         integral_vec=integral_vec,
         classes=_default_classes(b2),
         conj=conj,
+        pairing_kernels=kernels,
     )
     _require_valid(model)
     return model
@@ -667,6 +682,7 @@ def _require_valid(model: GradedAlgebraModel) -> None:
     if not rep.all_pass:
         names = [r.name for r in rep.failures()]
         raise ModelError(f"model fails validation: {names}")
+    model.validation = rep
 
 
 def validate(model: GradedAlgebraModel) -> CheckReport:
@@ -782,10 +798,7 @@ def _kernel_ideal_witnesses(model: GradedAlgebraModel) -> list:
     bad = []
     mono = {d: monomials(b2, d) for d in range(n + 1, 2 * n + 1)}
     idx = {d: {m: i for i, m in enumerate(mono[d])} for d in mono}
-    kernels = {}
-    for d in range(n + 1, 2 * n + 1):
-        pair_mat = _pairing_matrix(model.quad.gram, mono[d], monomials(b2, 2 * n - d))
-        kernels[d] = kernel(MatrixQ.from_array(pair_mat.T))
+    kernels = model.pairing_kernels
     for d in range(n + 1, 2 * n):
         for r, row in enumerate(kernels[d].grid):
             for v in range(b2):

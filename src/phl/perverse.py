@@ -222,14 +222,16 @@ class PerverseHodgeCube:
         if not isinstance(doc, dict) or set(doc) != {"n", "entries"}:
             raise ValueError("cube document must have exactly the fields 'n' and 'entries'")
         n = doc["n"]
-        if not isinstance(n, int) or n < 0:
+        if type(n) is not int or n < 0:  # JSON true/false are ints to Python
             raise ValueError("cube field 'n' must be a non-negative integer")
+        if not isinstance(doc["entries"], list):
+            raise ValueError("cube field 'entries' must be a list")
         entries = {}
         for rec in doc["entries"]:
-            if set(rec) != {"i", "k", "d", "h"}:
+            if not isinstance(rec, dict) or set(rec) != {"i", "k", "d", "h"}:
                 raise ValueError(f"bad cube entry: {rec}")
             i, k, d, h = rec["i"], rec["k"], rec["d"], rec["h"]
-            if not all(isinstance(x, int) for x in (i, k, d, h)):
+            if not all(type(x) is int for x in (i, k, d, h)):
                 raise ValueError(f"cube entry fields must be integers: {rec}")
             if h < 0:
                 raise ValueError(f"negative cube entry: {rec}")

@@ -114,6 +114,27 @@ def test_cmd_render_round_trip(tmp_path, capsys, k3_cube):
     assert K3_ASCII_D1 in out
 
 
+@pytest.mark.parametrize(
+    "verb,doc",
+    [
+        ("cube", '{"kind": "k3", "gram": []}'),
+        ("cube", '{"kind": "k3", "gram": [["x"]]}'),
+        ("cube", '{"kind": "k3", "gram": [["1/0"]]}'),
+        ("cube", '{"kind": "verbitsky", "n": true, "b2": 5}'),
+        ("render", '{"n": 1, "entries": [{"i": 0, "k": 0, "d": 0, "h": true}]}'),
+        ("render", '{"n": 1, "entries": 7}'),
+        ("render", '{"n": 1, "entries": [1]}'),
+    ],
+)
+def test_malformed_document_exit_2_one_line(tmp_path, capsys, verb, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(doc)
+    code, _, err = run_cli([verb, "--spec", str(path)], capsys)
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_cmd_render_invalid_cube(tmp_path, capsys):
     bad = tmp_path / "cube.json"
     bad.write_text('{"n": 1, "entries": [{"i": 0, "k": 0, "d": 9, "h": 1}]}')

@@ -21,7 +21,7 @@ from phl.lie import (
 from phl.linalg import MatrixQ, Subspace, kernel, solve_right
 from phl.models import DistinguishedClasses
 
-from conftest import random_invertible
+from conftest import random_invertible, random_rational_matrix
 
 
 def test_sl2_complete_j2_transpose():
@@ -219,3 +219,60 @@ def test_pq_difference_grading_values(k3):
     sb = 1 + k3.quad.sigma_bar_index
     assert diag[s] == 2 and diag[sb] == -2
     assert diag[0] == 0 and diag[23] == 0
+
+
+def test_bracket_matches_dense_products():
+    # the sparse bracket against the dense reference ab - ba
+    rng = random.Random(5)
+    for n in (1, 3, 6):
+        a, b = random_rational_matrix(rng, n, n), random_rational_matrix(rng, n, n)
+        assert bracket(a, b) == a @ b - b @ a
+    L = MatrixQ([[0, 0, 0], [1, 0, 0], [0, 0, 0]])
+    assert bracket(L, L).is_zero()
+
+
+def _assert_sl2_triple(L, lam, H):
+    h = H.matrix()
+    assert bracket(L, lam) == h
+    assert bracket(h, lam) == lam.scale(-2)
+
+
+def test_partners_satisfy_sl2_relations_on_shipped_models(shipped_models):
+    # the relations are re-checked here with bracket, outside sl2_complete
+    for m in shipped_models.values():
+        hq, h0 = hodge_q_grading(m), degree_grading(m)
+        L = m.lefschetz_matrix(m.classes.sigma_bar)
+        _assert_sl2_triple(L, sl2_complete(L, hq), hq)
+        for x in so6_generators(m):
+            lx = m.lefschetz_matrix(x)
+            _assert_sl2_triple(lx, sl2_complete(lx, h0), h0)
+
+
+def test_sl2_complete_rejects_operator_not_raising_by_two():
+    L = MatrixQ([[0, 1], [0, 0]])  # lowers the grading diag(-1, 1)
+    with pytest.raises(
+        Sl2CompletionError, match=r"\[H, L\] != 2L: entry \(0, 1\) connects grading 1 to -1"
+    ):
+        sl2_complete(L, GradingOperator("test", (-1, 1)))
+
+
+def test_sl2_complete_rejects_unbalanced_grading_dimensions():
+    L = MatrixQ([[0, 0, 0], [1, 0, 0], [0, 0, 0]])
+    with pytest.raises(
+        Sl2CompletionError, match="grading -1 has dimension 1 but grading 1 has dimension 2"
+    ):
+        sl2_complete(L, GradingOperator("test", (-1, 1, 1)))
+
+
+def test_so6_basis_brackets_stay_in_closure(verb_n2_b5):
+    h0 = degree_grading(verb_n2_b5)
+    gens = [h0.matrix()]
+    for x in so6_generators(verb_n2_b5):
+        lx = verb_n2_b5.lefschetz_matrix(x)
+        gens.extend([lx, sl2_complete(lx, h0)])
+    alg = lie_closure(gens)
+    basis = alg.basis_matrices()
+    assert len(basis) == 15
+    for i, a in enumerate(basis):
+        for b in basis[i + 1 :]:
+            assert membership(alg, bracket(a, b))
