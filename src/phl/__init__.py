@@ -7,7 +7,6 @@ from .filtration import (
     NotNilpotentError,
     WeightFiltration,
     jordan_partition,
-    nilpotency_index,
     verify_weight_axioms,
     weight_filtration,
 )
@@ -19,7 +18,6 @@ from .linalg import (
     join,
     kernel,
     meet,
-    preimage,
     reduce,
 )
 from .models import (

@@ -30,7 +30,6 @@ __all__ = [
     "NotNilpotentError",
     "NilpotentOperator",
     "WeightFiltration",
-    "nilpotency_index",
     "weight_filtration",
     "verify_weight_axioms",
     "jordan_partition",
@@ -77,11 +76,6 @@ class NilpotentOperator:
         if k < len(self._powers):
             return self._powers[k]
         return MatrixQ.zeros(self.dim, self.dim)
-
-
-def nilpotency_index(n: NilpotentOperator) -> int:
-    """Largest l with N^l != 0 (0 for the zero operator)."""
-    return n.index
 
 
 @dataclass(frozen=True)

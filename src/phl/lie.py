@@ -13,21 +13,31 @@ is classical sl2 theory; [L, Λ] = H is re-verified exactly on every
 diagonal block before returning.
 
 ``lie_closure`` span-saturates iterated brackets.  Operators are kept as
-sparse primitive integer dicts {i*D + j: entry} and reduced against a
-sparse exact RREF, so independence and membership decisions are
-certified, never numerical.
+sparse primitive integer dicts {i*D + j: entry}, the row-major flattening
+of the matrix, and reduced by ``linalg.SpanReducer``, the same exact
+elimination that computes every subspace, so independence and membership
+decisions are certified, never numerical.  Block products are
+``linalg._dot``, the product behind ``MatrixQ @``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .filtration import NilpotentOperator, NotNilpotentError
-from .linalg import DimensionMismatch, MatrixQ, inverse, kernel
+from .linalg import (
+    DimensionMismatch,
+    MatrixQ,
+    SpanReducer,
+    _dot,
+    _integer_row,
+    _primitive,
+    inverse,
+    kernel,
+)
 from .report import CheckReport
 
 __all__ = [
@@ -37,7 +47,6 @@ __all__ = [
     "hodge_q_grading",
     "pq_difference_grading",
     "sl2_complete",
-    "SpanReducer",
     "LieSubalgebra",
     "lie_closure",
     "membership",
@@ -92,16 +101,6 @@ def _sparse(a: np.ndarray) -> dict:
     D = a.shape[1]
     rows, cols = np.nonzero(a)
     return {i * D + j: a[i, j] for i, j in zip(rows.tolist(), cols.tolist())}
-
-
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for object arrays, multiplying nonzero entries only."""
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=object)
-    support = [np.flatnonzero(row) for row in b]
-    for i, k in zip(*np.nonzero(a)):
-        cols = support[k]
-        out[i, cols] += a[i, k] * b[k, cols]
-    return out
 
 
 def sl2_complete(L, H: GradingOperator) -> MatrixQ:
@@ -188,92 +187,9 @@ def sl2_complete(L, H: GradingOperator) -> MatrixQ:
     return MatrixQ.from_array(out)
 
 
-# ---------------------------------------------------------------------------
-# exact sparse span arithmetic for operators as integer dicts
-# ---------------------------------------------------------------------------
-
-
-def _primitive(v: dict) -> dict:
-    g = 0
-    for x in v.values():
-        g = math.gcd(g, x if x > 0 else -x)
-        if g == 1:
-            break
-    if g > 1:
-        v = {c: x // g for c, x in v.items()}
-    return v
-
-
-def _eliminate(v: dict, row: dict, p: int) -> dict:
-    """row[p] * v - v[p] * row, which clears column p of v."""
-    c, rp = v[p], row[p]
-    out = {col: x * rp for col, x in v.items()}
-    for col, x in row.items():
-        y = out.get(col, 0) - x * c
-        if y:
-            out[col] = y
-        else:
-            out.pop(col, None)
-    return out
-
-
-class SpanReducer:
-    """Incremental exact RREF over sparse integer vectors.
-
-    Rows are primitive integer dicts, fully back-reduced, one per pivot
-    column; a vector reduces to the empty dict exactly when it lies in the
-    span.
-    """
-
-    def __init__(self):
-        self.rows: dict[int, dict] = {}
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def _reduce(self, v: dict) -> dict:
-        v = {c: x for c, x in v.items() if x}
-        # rows are fully back-reduced, so clearing one pivot of v leaves the
-        # others untouched and only the pivots v has on entry need clearing
-        for p in [p for p in v if p in self.rows]:
-            v = _eliminate(v, self.rows[p], p)
-        return _primitive(v)
-
-    def insert(self, v: dict) -> bool:
-        r = self._reduce(v)
-        if not r:
-            return False
-        piv = min(r)
-        if r[piv] < 0:
-            r = {c: -x for c, x in r.items()}
-        for p, row in list(self.rows.items()):
-            if piv in row:
-                out = _primitive(_eliminate(row, r, piv))
-                if out[p] < 0:
-                    out = {col: -x for col, x in out.items()}
-                self.rows[p] = out
-        self.rows[piv] = r
-        return True
-
-    def contains(self, v: dict) -> bool:
-        return not self._reduce(v)
-
-    def canonical_rows(self):
-        """RREF rows as {column: Fraction} dicts with unit pivots."""
-        out = []
-        for p in sorted(self.rows):
-            row = self.rows[p]
-            pv = row[p]
-            out.append({c: Fraction(x, pv) for c, x in row.items()})
-        return out
-
-
 def _integer_entries(x) -> dict:
-    """Nonzero entries of an operator scaled to a primitive integer dict."""
-    v = _sparse(_as_array(x))
-    denom = math.lcm(1, *(e.denominator for e in v.values() if isinstance(e, Fraction)))
-    return _primitive({c: int(e * denom) for c, e in v.items()})
+    """Nonzero entries of an operator as a primitive integer dict {i*D + j: entry}."""
+    return _integer_row(_as_array(x).ravel())
 
 
 def _indexed(v: dict, D: int):

@@ -1,14 +1,18 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals, on one elimination engine.
 
 Matrices hold Fraction (or plain int) entries inside numpy object arrays;
-all arithmetic is exact. Subspaces are stored as reduced row echelon bases
-with strictly increasing pivot columns, so two subspaces are equal exactly
-when their basis grids are equal.
+all arithmetic is exact.  Products multiply nonzero entries only (``_dot``).
+Subspaces are stored as reduced row echelon bases with strictly increasing
+pivot columns, so two subspaces are equal exactly when their basis grids
+are equal.
 
-Elimination runs on integer-scaled primitive rows (cross-multiplication
-followed by gcd reduction) and divides by pivots only when producing the
-final canonical rows; this is equivalent to Fraction pivoting but far
-faster, and the RREF output is independent of pivot choices.
+Every elimination runs in ``SpanReducer``: rows are scaled to primitive
+integer vectors held as sparse dicts, reduced fraction-free by
+cross-multiplication and gcd division, and kept fully back-reduced, one
+per pivot column.  Division by the pivots happens only when the canonical
+rows are read off.  The RREF is unique, so the result does not depend on
+the order in which rows are inserted.  ``lie`` closes operator algebras on
+the same reducer.
 """
 
 from __future__ import annotations
@@ -22,14 +26,13 @@ __all__ = [
     "DimensionMismatch",
     "MatrixQ",
     "Subspace",
+    "SpanReducer",
     "reduce",
     "kernel",
     "image",
     "meet",
     "join",
-    "preimage",
     "map_subspace",
-    "solve_right",
     "inverse",
 ]
 
@@ -58,30 +61,91 @@ def _object_matrix(data) -> np.ndarray:
     return a
 
 
-def _row_primitive(a: np.ndarray, i: int) -> None:
-    """Divide row i by the gcd of its entries (in place, integer rows)."""
+def _primitive(v: dict) -> dict:
+    """Sparse integer vector divided by the gcd of its entries."""
     g = 0
-    for x in a[i, :]:
-        if x:
-            g = math.gcd(g, x if x > 0 else -x)
-            if g == 1:
-                return
+    for x in v.values():
+        g = math.gcd(g, x if x > 0 else -x)
+        if g == 1:
+            break
     if g > 1:
-        a[i, :] = a[i, :] // g
+        v = {c: x // g for c, x in v.items()}
+    return v
 
 
-def _int_rows(a: np.ndarray) -> np.ndarray:
-    """Copy of a with each row scaled to primitive integer entries."""
-    out = np.empty(a.shape, dtype=object)
-    for i in range(a.shape[0]):
-        denom = 1
-        for x in a[i, :]:
-            if isinstance(x, Fraction):
-                denom = denom * x.denominator // math.gcd(denom, x.denominator)
-        row = [int(x * denom) if isinstance(x, Fraction) else int(x) * denom for x in a[i, :]]
-        out[i, :] = row
-        _row_primitive(out, i)
+def _eliminate(v: dict, row: dict, p: int) -> dict:
+    """row[p] * v - v[p] * row, which clears column p of v."""
+    c, rp = v[p], row[p]
+    out = {col: x * rp for col, x in v.items()}
+    for col, x in row.items():
+        y = out.get(col, 0) - x * c
+        if y:
+            out[col] = y
+        else:
+            out.pop(col, None)
     return out
+
+
+def _integer_row(entries) -> dict:
+    """Nonzero entries of a rational vector as {index: int}, scaled to a
+    primitive integer vector."""
+    v = {c: x for c, x in enumerate(entries) if x}
+    denom = math.lcm(1, *(x.denominator for x in v.values() if isinstance(x, Fraction)))
+    return _primitive(
+        {c: int(x * denom) if isinstance(x, Fraction) else int(x) * denom for c, x in v.items()}
+    )
+
+
+class SpanReducer:
+    """Incremental exact RREF over sparse integer vectors.
+
+    Rows are primitive integer dicts, fully back-reduced, one per pivot
+    column; a vector reduces to the empty dict exactly when it lies in the
+    span.
+    """
+
+    def __init__(self):
+        self.rows: dict[int, dict] = {}
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+    def _reduce(self, v: dict) -> dict:
+        v = {c: x for c, x in v.items() if x}
+        # rows are fully back-reduced, so clearing one pivot of v leaves the
+        # others untouched and only the pivots v has on entry need clearing
+        for p in [p for p in v if p in self.rows]:
+            v = _eliminate(v, self.rows[p], p)
+        return _primitive(v)
+
+    def insert(self, v: dict) -> bool:
+        r = self._reduce(v)
+        if not r:
+            return False
+        piv = min(r)
+        if r[piv] < 0:
+            r = {c: -x for c, x in r.items()}
+        for p, row in list(self.rows.items()):
+            if piv in row:
+                out = _primitive(_eliminate(row, r, piv))
+                if out[p] < 0:
+                    out = {col: -x for col, x in out.items()}
+                self.rows[p] = out
+        self.rows[piv] = r
+        return True
+
+    def contains(self, v: dict) -> bool:
+        return not self._reduce(v)
+
+    def canonical_rows(self):
+        """RREF rows as {column: Fraction} dicts with unit pivots, by pivot."""
+        out = []
+        for p in sorted(self.rows):
+            row = self.rows[p]
+            pv = row[p]
+            out.append({c: Fraction(x, pv) for c, x in row.items()})
+        return out
 
 
 def _rref(a: np.ndarray):
@@ -91,40 +155,27 @@ def _rref(a: np.ndarray):
     nonzero RREF rows, pivot entries equal to 1) and pivots the strictly
     increasing pivot column indices.
     """
-    m = _int_rows(a)
-    nr, nc = m.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(nc):
-        best = -1
-        best_abs = None
-        for i in range(r, nr):
-            v = m[i, c]
-            if v:
-                av = v if v > 0 else -v
-                if best_abs is None or av < best_abs:
-                    best, best_abs = i, av
-        if best < 0:
-            continue
-        if best != r:
-            m[[r, best], :] = m[[best, r], :]
-        p = m[r, c]
-        for i in range(nr):
-            if i == r:
-                continue
-            v = m[i, c]
-            if v:
-                m[i, :] = m[i, :] * p - m[r, :] * v
-                _row_primitive(m, i)
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
+    reducer = SpanReducer()
+    for row in a:
+        reducer.insert(_integer_row(row))
+    zero = (Fraction(0),) * a.shape[1]
     rows = []
-    for i, c in enumerate(pivots):
-        p = m[i, c]
-        rows.append(tuple(Fraction(int(x), int(p)) for x in m[i, :]))
-    return tuple(rows), pivots
+    for row in reducer.canonical_rows():
+        full = list(zero)
+        for c, x in row.items():
+            full[c] = x
+        rows.append(tuple(full))
+    return tuple(rows), sorted(reducer.rows)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for object arrays, multiplying nonzero entries only."""
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=object)
+    support = [np.flatnonzero(row) for row in b]
+    for i, k in zip(*np.nonzero(a)):
+        cols = support[k]
+        out[i, cols] += a[i, k] * b[k, cols]
+    return out
 
 
 class MatrixQ:
@@ -180,7 +231,7 @@ class MatrixQ:
         if isinstance(other, MatrixQ):
             if self.cols != other.rows:
                 raise DimensionMismatch(f"{self.cols} != {other.rows}")
-            return MatrixQ.from_array(self._a @ other._a)
+            return MatrixQ.from_array(_dot(self._a, other._a))
         other = np.asarray(other, dtype=object)
         return self._a @ other
 
@@ -249,10 +300,14 @@ class Subspace:
 
     @classmethod
     def full(cls, n: int) -> "Subspace":
-        grid = tuple(
-            tuple(Fraction(1) if j == i else Fraction(0) for j in range(n)) for i in range(n)
-        )
-        return cls(n, grid, range(n))
+        return cls.coordinates(n, range(n))
+
+    @classmethod
+    def coordinates(cls, n: int, coords) -> "Subspace":
+        """Span of the standard basis vectors e_c, c in coords, of Q^n."""
+        coords = sorted(coords)
+        grid = tuple(tuple(Fraction(int(j == c)) for j in range(n)) for c in coords)
+        return cls(n, grid, coords)
 
     @classmethod
     def span(cls, vectors, ambient_dim: int | None = None) -> "Subspace":
@@ -278,9 +333,7 @@ class Subspace:
         return len(self.grid)
 
     def basis(self) -> MatrixQ:
-        if not self.grid:
-            return MatrixQ.zeros(0, self.ambient_dim)
-        return MatrixQ(self.grid)
+        return MatrixQ.from_array(self.basis_array())
 
     def basis_array(self) -> np.ndarray:
         a = np.empty((self.dim, self.ambient_dim), dtype=object)
@@ -396,39 +449,13 @@ def join(a: Subspace, b: Subspace) -> Subspace:
     return Subspace.span(list(a.grid) + list(b.grid))
 
 
-def preimage(m: MatrixQ, s: Subspace) -> Subspace:
-    """{v : m @ v ∈ s}."""
-    if s.ambient_dim != m.rows:
-        raise DimensionMismatch(f"subspace ambient {s.ambient_dim} != matrix rows {m.rows}")
-    C = s.constraints()
-    if C.shape[0] == 0:
-        return Subspace.full(m.cols)
-    return kernel(MatrixQ.from_array(C @ m.array))
-
-
 def map_subspace(m: MatrixQ, s: Subspace) -> Subspace:
     """Image m(s) of a subspace under the operator m."""
     if s.ambient_dim != m.cols:
         raise DimensionMismatch(f"subspace ambient {s.ambient_dim} != matrix cols {m.cols}")
     if s.dim == 0:
         return Subspace.zero(m.rows)
-    rows = (m.array @ s.basis_array().T).T
-    return Subspace.span(MatrixQ.from_array(rows))
-
-
-def solve_right(m: MatrixQ, b) -> np.ndarray | None:
-    """One exact solution x of m @ x == b, or None if inconsistent."""
-    a = m.array
-    bv = np.asarray([_frac(x) for x in b], dtype=object)
-    aug = np.hstack([a, bv[:, None]])
-    grid, pivots = _rref(aug)
-    n = a.shape[1]
-    if n in pivots:
-        return None
-    x = np.zeros(n, dtype=object)
-    for i, p in enumerate(pivots):
-        x[p] = grid[i][n]
-    return x
+    return Subspace.span(s.basis() @ m.transpose())
 
 
 def inverse(m: MatrixQ) -> MatrixQ:

@@ -220,6 +220,8 @@ class ModelSpec:
         if self.kind == "k3":
             if self.n != 1:
                 raise ModelError("k3 models have n = 1")
+            if self.b2 > 22:
+                raise ModelError(f"k3 models support b2 <= 22, got b2 = {self.b2}")
         else:
             if not 1 <= self.n <= 3:
                 raise ModelError(f"verbitsky models support 1 <= n <= 3, got n = {self.n}")
@@ -341,9 +343,6 @@ class GradedAlgebraModel:
     def block_indices(self, d: int):
         return range(self.offsets[d], self.offsets[d + 1])
 
-    def block_subspace(self, d: int) -> Subspace:
-        return _coordinate_span(self.total_dim, list(self.block_indices(d)))
-
     def bidegree_coords(self, d: int, p: int):
         """Global coordinates of the (p, 2d-p) part of piece d."""
         if self._bidegree_coords is None:
@@ -386,13 +385,6 @@ class GradedAlgebraModel:
             out[self.offsets[d + 1] : self.offsets[d + 2], self.offsets[d] : self.offsets[d + 1]] = block.T
         return MatrixQ.from_array(out)
 
-    def conj_matrix(self) -> MatrixQ:
-        out = np.zeros((self.total_dim, self.total_dim), dtype=object)
-        for d in range(self.pieces):
-            o = self.offsets[d]
-            out[o : o + self.dims[d], o : o + self.dims[d]] = self.conj[d].array
-        return MatrixQ.from_array(out)
-
     # -- gradings -------------------------------------------------------------
 
     def degree_diag(self):
@@ -429,15 +421,6 @@ class GradedAlgebraModel:
         clone.classes = cls
         clone.validation = None
         return clone
-
-
-def _coordinate_span(n: int, coords) -> Subspace:
-    grid = []
-    for c in coords:
-        row = [Fraction(0)] * n
-        row[c] = Fraction(1)
-        grid.append(tuple(row))
-    return Subspace(n, tuple(grid), tuple(coords))
 
 
 def lefschetz(model: GradedAlgebraModel, x) -> NilpotentOperator:
@@ -524,7 +507,7 @@ def build_k3(spec: ModelSpec) -> GradedAlgebraModel:
         classes=_default_classes(b2),
         conj=conj,
     )
-    _require_valid(model)
+    _require_valid(model, spec.gram is not None)
     return model
 
 
@@ -655,7 +638,7 @@ def build_verbitsky(spec: ModelSpec) -> GradedAlgebraModel:
         conj=conj,
         pairing_kernels=kernels,
     )
-    _require_valid(model)
+    _require_valid(model, spec.gram is not None)
     return model
 
 
@@ -677,11 +660,23 @@ def _bidegree_parts(vec, mono):
 # ---------------------------------------------------------------------------
 
 
-def _require_valid(model: GradedAlgebraModel) -> None:
+_GRAM_CONVENTION = (
+    "a custom gram must follow the basis convention: coordinate 0 is sigma, "
+    "1 is sigma_bar, 2 is beta, and omega = beta + coordinate 3"
+)
+
+
+def _require_valid(model: GradedAlgebraModel, custom_gram: bool) -> None:
+    """Keep the validate report on the model, or raise naming each failed
+    check with its first witnesses."""
     rep = validate(model)
     if not rep.all_pass:
-        names = [r.name for r in rep.failures()]
-        raise ModelError(f"model fails validation: {names}")
+        failed = "; ".join(
+            f"{r.name} ({', '.join(map(str, r.witnesses[:3]))})" if r.witnesses else r.name
+            for r in rep.failures()
+        )
+        note = f"; {_GRAM_CONVENTION}" if custom_gram else ""
+        raise ModelError(f"model fails validation: {failed}{note}")
     model.validation = rep
 
 

@@ -36,6 +36,9 @@ __all__ = [
 ]
 
 
+CUBE_MAX_N = 16
+
+
 def _restrict_to_coords(s: Subspace, coords) -> Subspace:
     """Intersection of s with the span of the given coordinate axes.
 
@@ -44,17 +47,15 @@ def _restrict_to_coords(s: Subspace, coords) -> Subspace:
     """
     if s.dim == 0:
         return s
-    coords = list(coords)
-    outside = [c for c in range(s.ambient_dim) if c not in set(coords)]
+    keep = set(coords)
+    outside = [c for c in range(s.ambient_dim) if c not in keep]
     if not outside:
         return s
-    b = s.basis_array()
-    restricted = b[:, outside].T  # (n_outside, dim)
-    coeffs = kernel(MatrixQ.from_array(restricted))
+    b = s.basis()
+    coeffs = kernel(MatrixQ.from_array(b.array[:, outside].T))  # (n_outside, dim)
     if coeffs.dim == 0:
         return Subspace.zero(s.ambient_dim)
-    rows = coeffs.basis_array() @ b
-    return Subspace.span(MatrixQ.from_array(rows))
+    return Subspace.span(coeffs.basis() @ b)
 
 
 @dataclass(frozen=True)
@@ -137,7 +138,7 @@ def hodge_item1_comparison(model: GradedAlgebraModel):
                 for c in model.bidegree_coords(d, p)
                 if m - p >= 2 * n - k
             ]
-            expected = _coordinate_subspace(model.total_dim, expected_coords)
+            expected = Subspace.coordinates(model.total_dim, expected_coords)
             if filt.steps[m][k] != expected:
                 mismatches.append((m, k))
             split_dims[k] += expected.dim
@@ -162,16 +163,6 @@ def hodge_filtration_via_sigma_bar(model: GradedAlgebraModel) -> FiltrationOnGra
             f"weight filtration of L_sigma_bar deviates from the bigrading at {mismatches[:4]}"
         )
     return filt
-
-
-def _coordinate_subspace(n, coords) -> Subspace:
-    coords = sorted(coords)
-    grid = []
-    for c in coords:
-        row = [Fraction(0)] * n
-        row[c] = Fraction(1)
-        grid.append(tuple(row))
-    return Subspace(n, tuple(grid), tuple(coords))
 
 
 def perverse_filtration(model: GradedAlgebraModel) -> PerverseFiltration:
@@ -222,8 +213,10 @@ class PerverseHodgeCube:
         if not isinstance(doc, dict) or set(doc) != {"n", "entries"}:
             raise ValueError("cube document must have exactly the fields 'n' and 'entries'")
         n = doc["n"]
-        if type(n) is not int or n < 0:  # JSON true/false are ints to Python
-            raise ValueError("cube field 'n' must be a non-negative integer")
+        # JSON true/false are ints to Python; the cap keeps an ASCII render,
+        # which grows as n^3, at desk scale
+        if type(n) is not int or not 0 <= n <= CUBE_MAX_N:
+            raise ValueError(f"cube field 'n' must be an integer from 0 to {CUBE_MAX_N}")
         if not isinstance(doc["entries"], list):
             raise ValueError("cube field 'entries' must be a list")
         entries = {}
@@ -235,8 +228,8 @@ class PerverseHodgeCube:
                 raise ValueError(f"cube entry fields must be integers: {rec}")
             if h < 0:
                 raise ValueError(f"negative cube entry: {rec}")
-            if not 0 <= d <= 2 * n:
-                raise ValueError(f"cube entry outside 0 <= d <= {2 * n}: {rec}")
+            if not 0 <= d <= 2 * n or max(abs(i), abs(k)) > 2 * n:
+                raise ValueError(f"cube entry outside 0 <= d <= {2 * n}, |i|, |k| <= {2 * n}: {rec}")
             if h:
                 entries[(i, k, d)] = h
         return cls(n=n, entries=entries)

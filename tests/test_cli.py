@@ -124,6 +124,8 @@ def test_cmd_render_round_trip(tmp_path, capsys, k3_cube):
         ("render", '{"n": 1, "entries": [{"i": 0, "k": 0, "d": 0, "h": true}]}'),
         ("render", '{"n": 1, "entries": 7}'),
         ("render", '{"n": 1, "entries": [1]}'),
+        ("render", '{"n": 1000000000, "entries": [{"i": 0, "k": 0, "d": 0, "h": 1}]}'),
+        ("render", '{"n": 1, "entries": [{"i": 1000000000, "k": 0, "d": 1, "h": 1}]}'),
     ],
 )
 def test_malformed_document_exit_2_one_line(tmp_path, capsys, verb, doc):
@@ -133,6 +135,37 @@ def test_malformed_document_exit_2_one_line(tmp_path, capsys, verb, doc):
     assert code == 2
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "doc,words",
+    [
+        ('{"kind": "k3", "b2": 30}', "b2 <= 22"),
+        ('{"kind": "verbitsky", "n": 4, "b2": 5}', "1 <= n <= 3"),
+        ('{"kind": "verbitsky", "n": 2, "b2": 9}', "b2 <= 8"),
+    ],
+)
+def test_out_of_cap_spec_exit_3_one_line(tmp_path, capsys, doc, words):
+    path = tmp_path / "spec.json"
+    path.write_text(doc)
+    code, _, err = run_cli(["model", "--spec", str(path)], capsys)
+    assert code == 3
+    assert len(err.splitlines()) == 1
+    assert words in err
+
+
+def test_invalid_custom_gram_names_check_and_witness(tmp_path, capsys):
+    # beta, coordinate 2, is not isotropic under this gram
+    gram = [["0"] * 5 for _ in range(5)]
+    gram[0][1] = gram[1][0] = gram[2][2] = gram[3][3] = "1"
+    gram[4][4] = "-1"
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"kind": "k3", "b2": 5, "gram": gram}))
+    code, _, err = run_cli(["model", "--spec", str(path)], capsys)
+    assert code == 3
+    assert len(err.splitlines()) == 1
+    assert "distinguished_classes (q(beta, beta) != 0)" in err
+    assert "coordinate 0 is sigma, 1 is sigma_bar, 2 is beta" in err
 
 
 def test_cmd_render_invalid_cube(tmp_path, capsys):

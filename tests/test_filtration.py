@@ -8,7 +8,6 @@ from phl.filtration import (
     NotNilpotentError,
     WeightFiltration,
     jordan_partition,
-    nilpotency_index,
     verify_weight_axioms,
     weight_filtration,
 )
@@ -34,7 +33,7 @@ def string_formula(parts, l):
 
 def test_nilpotency_index_zero_operator():
     op = NilpotentOperator(MatrixQ.zeros(3, 3))
-    assert nilpotency_index(op) == 0
+    assert op.index == 0
 
 
 def test_nilpotency_index_j2():

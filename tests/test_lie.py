@@ -18,7 +18,7 @@ from phl.lie import (
     so6_generators,
     so6_report,
 )
-from phl.linalg import MatrixQ, Subspace, kernel, solve_right
+from phl.linalg import MatrixQ, Subspace, kernel
 from phl.models import DistinguishedClasses
 
 from conftest import random_invertible, random_rational_matrix
@@ -73,11 +73,9 @@ def test_sl2_uniqueness_by_affine_solve(k3):
                 rows.append(row)
                 rhs.append(want)
     system = MatrixQ(rows)
-    sol = solve_right(system, rhs)
-    assert sol is not None
+    # the entries of the partner solve the system, and the solution is unique
+    assert list(system.apply([lam.entry(i, j) for i, j in unknowns])) == rhs
     assert kernel(system).dim == 0  # affine solution space has dimension 1 - 1 = 0
-    for t, (i, j) in enumerate(unknowns):
-        assert lam.entry(i, j) == sol[t]
 
 
 def test_primitive_dimensions_from_kernel_of_lambda(k3):

@@ -48,7 +48,7 @@ def test_k3_hodge_w0_is_sigma_bar_and_point(k3):
 
 def test_k3_hodge_top_step_is_degree_piece(k3):
     filt = hodge_filtration_via_sigma_bar(k3)
-    assert filt.steps[2][2] == k3.block_subspace(1)
+    assert filt.steps[2][2] == Subspace.coordinates(k3.total_dim, k3.block_indices(1))
 
 
 def test_verbitsky_hodge_graded_dims_match_bidegree_counts(verb_n2_b5):
@@ -73,7 +73,7 @@ def test_k3_perverse_middle_degree(k3):
         constraints[0, 1 + j] = gram[2, j]
     constraints[0, 0] = 1  # exclude H^0
     perp = kernel(MatrixQ.from_array(constraints))
-    h2 = k3.block_subspace(1)
+    h2 = Subspace.coordinates(k3.total_dim, k3.block_indices(1))
     from phl.linalg import meet
 
     assert chain[1] == meet(perp, h2)
@@ -84,7 +84,7 @@ def test_k3_perverse_middle_degree(k3):
 
 def test_k3_perverse_degree_zero(k3):
     perv = perverse_filtration(k3)
-    assert perv.graded.steps[0][0] == k3.block_subspace(0)
+    assert perv.graded.steps[0][0] == Subspace.coordinates(k3.total_dim, k3.block_indices(0))
     assert perv.graded.step(0, -1).dim == 0
 
 
