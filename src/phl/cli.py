@@ -5,8 +5,9 @@
     phl render --spec CUBE_PATH [--out PATH] [--format ascii|tex]
     phl check  --spec PATH [--out PATH]
 
-Exit codes: 0 success / all checks pass, 1 some check failed, 2 parse
-error (malformed JSON or schema), 3 model validation failure.
+Exit codes: 0 success / all checks pass, 1 some check failed, 2 parse or
+file error (malformed JSON or schema, unreadable or unwritable path, text
+that is not UTF-8), 3 model validation failure.
 """
 
 from __future__ import annotations
@@ -187,8 +188,8 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return EXIT_PARSE
-    except FileNotFoundError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"file error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)

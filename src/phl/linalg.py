@@ -11,8 +11,9 @@ integer vectors held as sparse dicts, reduced fraction-free by
 cross-multiplication and gcd division, and kept fully back-reduced, one
 per pivot column.  Division by the pivots happens only when the canonical
 rows are read off.  The RREF is unique, so the result does not depend on
-the order in which rows are inserted.  ``lie`` closes operator algebras on
-the same reducer.
+the order in which rows are inserted.  Subspace membership reduces the
+vector against a ``SpanReducer`` of the basis, cached on the subspace, and
+``lie`` closes operator algebras on the same reducer.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ class DimensionMismatch(ValueError):
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, np.integer)):
+    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
         return Fraction(int(x))
     if isinstance(x, str):
         return Fraction(x)
@@ -221,9 +222,6 @@ class MatrixQ:
     def entry(self, i: int, j: int) -> Fraction:
         return _frac(self._a[i, j])
 
-    def row(self, i: int) -> np.ndarray:
-        return self._a[i, :].copy()
-
     def transpose(self) -> "MatrixQ":
         return MatrixQ.from_array(self._a.T.copy())
 
@@ -286,13 +284,14 @@ class Subspace:
     exactly when their grids are identical.
     """
 
-    __slots__ = ("ambient_dim", "grid", "pivots", "_constraints")
+    __slots__ = ("ambient_dim", "grid", "pivots", "_constraints", "_reducer")
 
     def __init__(self, ambient_dim: int, grid, pivots):
         self.ambient_dim = ambient_dim
         self.grid = grid
         self.pivots = tuple(pivots)
         self._constraints = None
+        self._reducer = None
 
     @classmethod
     def zero(cls, n: int) -> "Subspace":
@@ -346,12 +345,26 @@ class Subspace:
         w = [_frac(x) for x in v]
         if len(w) != self.ambient_dim:
             raise DimensionMismatch(f"vector of length {len(w)} in Q^{self.ambient_dim}")
-        for row, p in zip(self.grid, self.pivots):
-            c = w[p]
-            if c:
-                for j in range(p, self.ambient_dim):
-                    w[j] -= c * row[j]
-        return not any(w)
+        return self.reducer().contains(_integer_row(w))
+
+    def is_graded(self, labels) -> bool:
+        """Whether every basis row splits, by the label of each coordinate,
+        into parts that lie in the subspace."""
+        for row in self.grid:
+            parts = {}
+            for c, x in _integer_row(row).items():
+                parts.setdefault(labels[c], {})[c] = x
+            if len(parts) > 1 and not all(self.reducer().contains(part) for part in parts.values()):
+                return False
+        return True
+
+    def reducer(self) -> SpanReducer:
+        """The basis rows in a ``SpanReducer``, built once and cached."""
+        if self._reducer is None:
+            self._reducer = SpanReducer()
+            for row in self.grid:
+                self._reducer.insert(_integer_row(row))
+        return self._reducer
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(row) for row in other.grid)

@@ -17,6 +17,12 @@ Two constructions are shipped:
 Everything is exact: complex conjugation is modeled as the basis
 involution swapping the sigma and sigma-bar tags, which is enough for
 every dimension count downstream.
+
+The structure constants are stored sparse: ``mult[(a, b)]`` maps a pair
+(i, j) of basis indices of pieces a and b to the product e_i * e_j as
+{k: value} over the basis of piece a+b, and holds only the nonzero
+constants.  One product over the nonzeros (``_product``) serves ``cup``,
+``lefschetz_matrix`` and every check in ``validate``.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from fractions import Fraction
 import numpy as np
 
 from .filtration import NilpotentOperator
-from .linalg import MatrixQ, Subspace, kernel, reduce
+from .linalg import MatrixQ, Subspace, _frac, _integer_row, kernel, reduce
 from .report import CheckReport
 
 __all__ = [
@@ -58,19 +64,6 @@ class SpecError(ValueError):
 
 class ModelError(ValueError):
     """Spec parsed but the requested model is invalid or out of scale."""
-
-
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
-        return Fraction(int(x))
-    if isinstance(x, str):
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise SpecError(f"not a rational: {x!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +197,10 @@ class ModelSpec:
                 if len(row) != len(raw[0]):
                     raise SpecError("gram rows have unequal lengths")
                 for j, x in enumerate(row):
-                    g[i, j] = _frac(x)
+                    try:
+                        g[i, j] = _frac(x)
+                    except (TypeError, ValueError, ZeroDivisionError):
+                        raise SpecError(f"not a rational: {x!r}") from None
             gram = g
         return cls(kind=kind, n=n, b2=b2, gram=gram)
 
@@ -299,6 +295,31 @@ def matching_integral(gram: np.ndarray, indices) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
+# sparse structure constants
+# ---------------------------------------------------------------------------
+
+
+def _sparse(v) -> dict:
+    """Nonzero entries of a coordinate vector as {index: value}."""
+    return {i: x for i, x in enumerate(v) if x}
+
+
+def _combine(columns, coeffs: dict) -> dict:
+    """Sum of coeffs[key] * columns[key] as a sparse vector without zeros;
+    a key absent from columns is a zero column."""
+    out = {}
+    for key, c in coeffs.items():
+        for k, x in columns.get(key, {}).items():
+            out[k] = out.get(k, 0) + c * x
+    return {k: x for k, x in out.items() if x}
+
+
+def _product(t, u: dict, v: dict) -> dict:
+    """u * v for sparse vectors under the sparse structure tensor t."""
+    return _combine(t, {(i, j): x * y for i, x in u.items() for j, y in v.items()})
+
+
+# ---------------------------------------------------------------------------
 # the model object
 # ---------------------------------------------------------------------------
 
@@ -307,9 +328,9 @@ class GradedAlgebraModel:
     """Graded commutative algebra with bigrading tags and marked classes.
 
     Degrees are the even numbers 0, 2, ..., 4n; piece d holds degree 2d.
-    ``mult[(a, b)]`` is the structure tensor of piece a times piece b with
-    values in piece a+b (absent above the top degree).  All data is exact
-    and immutable after construction.
+    ``mult[(a, b)]`` is the sparse structure tensor of piece a times piece
+    b with values in piece a+b (absent above the top degree).  All data is
+    exact and immutable after construction.
 
     ``validation`` is the ``validate`` report that ``build_model`` produced;
     it is None for a model built any other way, including a
@@ -325,7 +346,7 @@ class GradedAlgebraModel:
         self.quad = quad
         self.dims = dims  # list, piece d -> dimension
         self.bidegrees = bidegrees  # list of lists of (p, q)
-        self.mult = mult  # {(a, b): object ndarray (dim_a, dim_b, dim_{a+b})}
+        self.mult = mult  # {(a, b): {(i, j): {k: value}}}, nonzero constants only
         self.integral_vec = integral_vec  # functional on the top piece
         self.classes = classes
         self.conj = conj  # list of MatrixQ blocks, piece d
@@ -354,9 +375,6 @@ class GradedAlgebraModel:
             self._bidegree_coords = table
         return self._bidegree_coords.get((d, p), [])
 
-    def bidegree_list(self, d: int):
-        return self.bidegrees[d]
-
     # -- algebra operations ---------------------------------------------------
 
     def cup(self, da: int, va, db: int, vb):
@@ -364,10 +382,10 @@ class GradedAlgebraModel:
         the top degree."""
         if da + db >= self.pieces:
             return None
-        t = self.mult[(da, db)]
-        va = np.asarray(va, dtype=object)
-        vb = np.asarray(vb, dtype=object)
-        return np.tensordot(np.tensordot(t, vb, axes=([1], [0])), va, axes=([0], [0]))
+        out = np.zeros(self.dims[da + db], dtype=object)
+        for k, x in _product(self.mult[(da, db)], _sparse(va), _sparse(vb)).items():
+            out[k] = x
+        return out
 
     def integral(self, v_top) -> Fraction:
         return _frac(np.asarray(v_top, dtype=object) @ self.integral_vec)
@@ -377,12 +395,13 @@ class GradedAlgebraModel:
 
     def lefschetz_matrix(self, x) -> MatrixQ:
         """Global cup-product-with-x operator for a degree-2 class x."""
-        x = np.asarray(x, dtype=object)
+        xs = _sparse(x)
         out = np.zeros((self.total_dim, self.total_dim), dtype=object)
         for d in range(self.pieces - 1):
-            t = self.mult[(1, d)]
-            block = np.tensordot(x, t, axes=([0], [0]))  # (dim_d, dim_{d+1})
-            out[self.offsets[d + 1] : self.offsets[d + 2], self.offsets[d] : self.offsets[d + 1]] = block.T
+            t, rows, cols = self.mult[(1, d)], self.offsets[d + 1], self.offsets[d]
+            for j in range(self.dims[d]):
+                for k, y in _product(t, xs, {j: 1}).items():
+                    out[rows + k, cols + j] = y
         return MatrixQ.from_array(out)
 
     # -- gradings -------------------------------------------------------------
@@ -473,21 +492,14 @@ def build_k3(spec: ModelSpec) -> GradedAlgebraModel:
         [quad.bidegree(i) for i in range(b2)],
         [(2, 2)],
     ]
-    mult = {}
-    t00 = np.zeros((1, 1, 1), dtype=object)
-    t00[0, 0, 0] = Fraction(1)
-    mult[(0, 0)] = t00
+    one = Fraction(1)
+    mult = {(0, 0): {(0, 0): {0: one}}}
     for d, dim in ((1, b2), (2, 1)):
-        t = np.zeros((1, dim, dim), dtype=object)
-        for j in range(dim):
-            t[0, j, j] = Fraction(1)
-        mult[(0, d)] = t
-        mult[(d, 0)] = t.transpose(1, 0, 2).copy()
-    t11 = np.zeros((b2, b2, 1), dtype=object)
-    for i in range(b2):
-        for j in range(b2):
-            t11[i, j, 0] = _frac(quad.gram[i, j])
-    mult[(1, 1)] = t11
+        mult[(0, d)] = {(0, j): {j: one} for j in range(dim)}
+        mult[(d, 0)] = {(j, 0): {j: one} for j in range(dim)}
+    mult[(1, 1)] = {
+        (i, j): {0: _frac(quad.gram[i, j])} for i in range(b2) for j in range(b2) if quad.gram[i, j]
+    }
     integral_vec = np.array([Fraction(1)], dtype=object)
     conj2 = np.zeros((b2, b2), dtype=object)
     for i in range(b2):
@@ -522,37 +534,22 @@ def _pairing_matrix(gram, mono_a, mono_b):
 
 class _Piece:
     """One graded piece of the symmetric-power model: a chosen monomial
-    basis of Sym^d/K_d plus the projection matrix from Sym^d coordinates."""
+    basis of Sym^d/K_d plus the projection of Sym^d onto it, one sparse
+    column {basis index: value} per monomial."""
 
-    def __init__(self, d, mono, kern: Subspace | None):
-        self.d = d
+    def __init__(self, mono, kern: Subspace):
         self.mono = mono
-        self.kernel = kern
-        nm = len(mono)
-        if kern is None or kern.dim == 0:
-            self.basis_monomials = list(range(nm))
-            self.proj = None  # identity
-        else:
-            piv = set(kern.pivots)
-            self.basis_monomials = [c for c in range(nm) if c not in piv]
-            proj = np.zeros((len(self.basis_monomials), nm), dtype=object)
-            for t, c in enumerate(self.basis_monomials):
-                proj[t, c] = Fraction(1)
-                for r, p in enumerate(kern.pivots):
-                    proj[t, p] = -kern.grid[r][c]
-            self.proj = proj
+        piv = set(kern.pivots)
+        self.basis_monomials = [c for c in range(len(mono)) if c not in piv]
+        self.proj = [{} for _ in mono]
+        for t, c in enumerate(self.basis_monomials):
+            self.proj[c] = {t: Fraction(1)}
+        for row, p in zip(kern.grid, kern.pivots):
+            self.proj[p] = {t: -row[c] for t, c in enumerate(self.basis_monomials) if row[c]}
 
     @property
     def dim(self):
         return len(self.basis_monomials)
-
-    def project_monomial(self, idx):
-        """Coordinates of the image of the idx-th monomial."""
-        if self.proj is None:
-            v = np.zeros(self.dim, dtype=object)
-            v[idx] = Fraction(1)
-            return v
-        return self.proj[:, idx].copy()
 
 
 def build_verbitsky(spec: ModelSpec) -> GradedAlgebraModel:
@@ -569,11 +566,11 @@ def build_verbitsky(spec: ModelSpec) -> GradedAlgebraModel:
     kernels = {}
     for d in range(0, 2 * n + 1):
         if d <= n:
-            pieces.append(_Piece(d, mono[d], None))
+            pieces.append(_Piece(mono[d], Subspace.zero(len(mono[d]))))
             continue
         pair_mat = _pairing_matrix(quad.gram, mono[d], mono[2 * n - d])
         kern = kernels[d] = kernel(MatrixQ.from_array(pair_mat.T))
-        piece = _Piece(d, mono[d], kern)
+        piece = _Piece(mono[d], kern)
         if piece.dim != len(mono[2 * n - d]):
             raise ModelError(
                 f"pairing kernel in degree {2 * d} has codimension {piece.dim}, "
@@ -581,12 +578,8 @@ def build_verbitsky(spec: ModelSpec) -> GradedAlgebraModel:
             )
         # the kernel must be spanned by pure-bidegree vectors, or the
         # quotient bigrading would be meaningless
-        for row in kern.grid:
-            for part in _bidegree_parts(row, mono[d]):
-                if not kern.contains(part):
-                    raise ModelError(
-                        f"pairing kernel in degree {2 * d} is not bigraded"
-                    )
+        if not kern.is_graded([monomial_bidegree(e) for e in mono[d]]):
+            raise ModelError(f"pairing kernel in degree {2 * d} is not bigraded")
         pieces.append(piece)
 
     dims = [p.dim for p in pieces]
@@ -599,14 +592,14 @@ def build_verbitsky(spec: ModelSpec) -> GradedAlgebraModel:
     for da in range(0, 2 * n + 1):
         for db in range(0, 2 * n + 1 - da):
             dc = da + db
-            t = np.zeros((dims[da], dims[db], dims[dc]), dtype=object)
+            t = mult[(da, db)] = {}
             for i, ca in enumerate(pieces[da].basis_monomials):
                 ea = pieces[da].mono[ca]
                 for j, cb in enumerate(pieces[db].basis_monomials):
                     eb = pieces[db].mono[cb]
-                    prod = tuple(x + y for x, y in zip(ea, eb))
-                    t[i, j, :] = pieces[dc].project_monomial(idx[dc][prod])
-            mult[(da, db)] = t
+                    col = pieces[dc].proj[idx[dc][tuple(x + y for x, y in zip(ea, eb))]]
+                    if col:
+                        t[(i, j)] = dict(col)
 
     top = pieces[2 * n]
     if top.dim != 1:
@@ -623,7 +616,8 @@ def build_verbitsky(spec: ModelSpec) -> GradedAlgebraModel:
         for t, cm in enumerate(piece.basis_monomials):
             exp = list(piece.mono[cm])
             exp[0], exp[1] = exp[1], exp[0]
-            c[:, t] = piece.project_monomial(idx[d][tuple(exp)])
+            for r, x in piece.proj[idx[d][tuple(exp)]].items():
+                c[r, t] = x
         conj.append(MatrixQ.from_array(c))
 
     model = GradedAlgebraModel(
@@ -644,15 +638,6 @@ def build_verbitsky(spec: ModelSpec) -> GradedAlgebraModel:
 
 def build_model(spec: ModelSpec) -> GradedAlgebraModel:
     return build_k3(spec) if spec.kind == "k3" else build_verbitsky(spec)
-
-
-def _bidegree_parts(vec, mono):
-    """Split a Sym^d coordinate vector into its bidegree components."""
-    parts = {}
-    for c, x in enumerate(vec):
-        if x:
-            parts.setdefault(monomial_bidegree(mono[c]), np.zeros(len(vec), dtype=object))[c] = x
-    return list(parts.values())
 
 
 # ---------------------------------------------------------------------------
@@ -694,9 +679,9 @@ def validate(model: GradedAlgebraModel) -> CheckReport:
     for d in range(P):
         t = mult[(0, d)]
         for j in range(dims[d]):
-            for k in range(dims[d]):
-                want = Fraction(1) if j == k else Fraction(0)
-                if t[0, j, k] != want:
+            prod = _product(t, {0: 1}, {j: 1})
+            for k in sorted(prod.keys() | {j}):
+                if prod.get(k, 0) != (1 if j == k else 0):
                     bad.append((d, j, k))
     rep.add("algebra_unit", not bad, witnesses=bad[:5], seconds=time.perf_counter() - t0)
 
@@ -705,7 +690,8 @@ def validate(model: GradedAlgebraModel) -> CheckReport:
     for da in range(P):
         for db in range(P - da):
             t_ab, t_ba = mult[(da, db)], mult[(db, da)]
-            if not np.array_equal(t_ab, t_ba.transpose(1, 0, 2)):
+            pairs = t_ab.keys() | {(j, i) for (i, j) in t_ba}
+            if any(_product(t_ab, {i: 1}, {j: 1}) != _product(t_ba, {j: 1}, {i: 1}) for i, j in pairs):
                 bad.append((2 * da, 2 * db))
     rep.add("algebra_commutative", not bad, witnesses=bad, seconds=time.perf_counter() - t0)
 
@@ -714,33 +700,41 @@ def validate(model: GradedAlgebraModel) -> CheckReport:
     for da in range(1, P):
         for db in range(1, P - da):
             for dc in range(1, P - da - db):
-                left = np.tensordot(mult[(da, db)], mult[(da + db, dc)], axes=([2], [0]))
-                right = np.tensordot(mult[(da, db + dc)], mult[(db, dc)], axes=([1], [2]))
-                right = right.transpose(0, 2, 3, 1)
-                if not np.array_equal(left, right):
+                t_ab, t_ab_c = mult[(da, db)], mult[(da + db, dc)]
+                t_bc, t_a_bc = mult[(db, dc)], mult[(da, db + dc)]
+                if any(
+                    _product(t_ab_c, t_ab.get((i, j), {}), {k: 1})
+                    != _product(t_a_bc, {i: 1}, t_bc.get((j, k), {}))
+                    for i in range(dims[da])
+                    for j in range(dims[db])
+                    for k in range(dims[dc])
+                ):
                     bad.append((2 * da, 2 * db, 2 * dc))
     rep.add("algebra_associative", not bad, witnesses=bad, seconds=time.perf_counter() - t0)
 
     t0 = time.perf_counter()
     bad = []
+    iv = model.integral_vec
     for d in range(P):
         dd = P - 1 - d
-        pairing = np.tensordot(mult[(d, dd)], model.integral_vec, axes=([2], [0]))
-        if dims[d] != dims[dd] or MatrixQ.from_array(pairing).rank() != dims[d]:
+        t = mult[(d, dd)]
+        pairing = [
+            [sum(x * iv[k] for k, x in _product(t, {i: 1}, {j: 1}).items()) for j in range(dims[dd])]
+            for i in range(dims[d])
+        ]
+        if dims[d] != dims[dd] or MatrixQ(pairing).rank() != dims[d]:
             bad.append(2 * d)
     rep.add("poincare_nondegenerate", not bad, witnesses=bad, seconds=time.perf_counter() - t0)
 
     t0 = time.perf_counter()
     bad = []
     for (da, db), t in mult.items():
-        for i in range(dims[da]):
-            pa = model.bidegrees[da][i]
-            for j in range(dims[db]):
-                pb = model.bidegrees[db][j]
-                want = (pa[0] + pb[0], pa[1] + pb[1])
-                for k in range(dims[da + db]):
-                    if t[i, j, k] and model.bidegrees[da + db][k] != want:
-                        bad.append((2 * da, i, 2 * db, j, k))
+        for i, j in sorted(t):
+            pa, pb = model.bidegrees[da][i], model.bidegrees[db][j]
+            want = (pa[0] + pb[0], pa[1] + pb[1])
+            for k in sorted(_product(t, {i: 1}, {j: 1})):
+                if model.bidegrees[da + db][k] != want:
+                    bad.append((2 * da, i, 2 * db, j, k))
     rep.add("mult_bigraded", not bad, witnesses=bad[:5], seconds=time.perf_counter() - t0)
 
     t0 = time.perf_counter()
@@ -759,12 +753,15 @@ def validate(model: GradedAlgebraModel) -> CheckReport:
 
     t0 = time.perf_counter()
     bad = []
+    # conj as sparse columns: conj_cols[d][t] is the image of basis vector t
+    conj_cols = [{t: _sparse(c.array[:, t]) for t in range(c.cols)} for c in model.conj]
     for (da, db), t in mult.items():
-        ca, cb, cc = model.conj[da].array, model.conj[db].array, model.conj[da + db].array
-        lhs = np.tensordot(t, cc, axes=([2], [1]))
-        tmp = np.tensordot(ca, t, axes=([0], [0]))
-        rhs = np.tensordot(cb, tmp, axes=([0], [1])).transpose(1, 0, 2)
-        if not np.array_equal(lhs, rhs):
+        ca, cb, cc = conj_cols[da], conj_cols[db], conj_cols[da + db]
+        if any(
+            _combine(cc, _product(t, {i: 1}, {j: 1})) != _product(t, ca[i], cb[j])
+            for i in range(dims[da])
+            for j in range(dims[db])
+        ):
             bad.append((2 * da, 2 * db))
     c2 = model.conj[1].array
     cls = model.classes
@@ -795,14 +792,16 @@ def _kernel_ideal_witnesses(model: GradedAlgebraModel) -> list:
     idx = {d: {m: i for i, m in enumerate(mono[d])} for d in mono}
     kernels = model.pairing_kernels
     for d in range(n + 1, 2 * n):
+        span = kernels[d + 1].reducer()
         for r, row in enumerate(kernels[d].grid):
+            terms = [(mono[d][c], x) for c, x in _integer_row(row).items()]
             for v in range(b2):
-                prod = np.zeros(len(mono[d + 1]), dtype=object)
-                for c, x in enumerate(row):
-                    if x:
-                        exp = list(mono[d][c])
-                        exp[v] += 1
-                        prod[idx[d + 1][tuple(exp)]] += x
-                if not kernels[d + 1].contains(prod):
+                prod = {}
+                for exp, x in terms:
+                    exp = list(exp)
+                    exp[v] += 1
+                    k = idx[d + 1][tuple(exp)]
+                    prod[k] = prod.get(k, 0) + x
+                if not span.contains(prod):
                     bad.append((2 * d, r, v))
     return bad

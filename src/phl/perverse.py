@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .filtration import NilpotentOperator, WeightFiltration, weight_filtration
 from .linalg import MatrixQ, Subspace, kernel
@@ -235,29 +234,6 @@ class PerverseHodgeCube:
         return cls(n=n, entries=entries)
 
 
-def _assert_bigraded_step(model, d, sub: Subspace, where):
-    """Every basis row of sub must split into bidegree components that stay
-    inside sub."""
-    for row in sub.grid:
-        parts = {}
-        for c, x in enumerate(row):
-            if x:
-                dd = _piece_of(model, c)
-                p = model.bidegrees[dd][c - model.offsets[dd]][0]
-                parts.setdefault(p, [Fraction(0)] * len(row))[c] = x
-        if len(parts) > 1:
-            for part in parts.values():
-                if not sub.contains(part):
-                    raise ModelError(f"filtration step is not bigraded at {where}")
-
-
-def _piece_of(model, coord):
-    for d in range(model.pieces):
-        if coord < model.offsets[d + 1]:
-            return d
-    raise IndexError(coord)
-
-
 def cube(model: GradedAlgebraModel, perv: PerverseFiltration | None = None, check: bool = True) -> PerverseHodgeCube:
     """Assemble h^{i,k,d} = dim jump of P_{d+k} in the (d+i, d-i) part.
 
@@ -269,6 +245,7 @@ def cube(model: GradedAlgebraModel, perv: PerverseFiltration | None = None, chec
     if perv is None:
         perv = perverse_filtration(model)
     entries = {}
+    hodge_p = [p for d in range(model.pieces) for p, _ in model.bidegrees[d]]
     for d in range(model.pieces):
         m = 2 * d
         lo, hi = perv.graded.ranges[m]
@@ -276,8 +253,9 @@ def cube(model: GradedAlgebraModel, perv: PerverseFiltration | None = None, chec
         prev_dims = {p: 0 for p in ps}
         for j in range(lo, hi + 1):
             step = perv.graded.steps[m][j]
-            if check:
-                _assert_bigraded_step(model, d, step, (m, j))
+            # the step lies in piece d, where the Hodge index p fixes the bidegree
+            if check and not step.is_graded(hodge_p):
+                raise ModelError(f"filtration step is not bigraded at {(m, j)}")
             row_total = 0
             for p in ps:
                 cut = _restrict_to_coords(step, model.bidegree_coords(d, p))

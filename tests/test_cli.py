@@ -120,6 +120,7 @@ def test_cmd_render_round_trip(tmp_path, capsys, k3_cube):
         ("cube", '{"kind": "k3", "gram": []}'),
         ("cube", '{"kind": "k3", "gram": [["x"]]}'),
         ("cube", '{"kind": "k3", "gram": [["1/0"]]}'),
+        ("cube", '{"kind": "k3", "gram": [[true]]}'),
         ("cube", '{"kind": "verbitsky", "n": true, "b2": 5}'),
         ("render", '{"n": 1, "entries": [{"i": 0, "k": 0, "d": 0, "h": true}]}'),
         ("render", '{"n": 1, "entries": 7}'),
@@ -229,6 +230,32 @@ def test_unknown_flag_rejected():
 def test_missing_file_is_parse_error(capsys):
     code, _, err = run_cli(["cube", "--spec", "/nonexistent/spec.json"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "verb,case",
+    [
+        ("model", "spec_is_directory"),
+        ("check", "spec_is_directory"),
+        ("model", "spec_not_utf8"),
+        ("render", "spec_not_utf8"),
+        ("cube", "out_is_directory"),
+    ],
+)
+def test_file_error_exit_2_one_line(tmp_path, capsys, verb, case):
+    args = [verb, "--spec", K3_SPEC]
+    if case == "spec_is_directory":
+        args[2] = str(tmp_path)
+    elif case == "spec_not_utf8":
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes('{"kind": "k3", "b2": 22} \u00e9'.encode("latin-1"))
+        args[2] = str(bad)
+    else:
+        args += ["--out", str(tmp_path)]
+    code, _, err = run_cli(args, capsys)
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert err.startswith("file error: ")
 
 
 def test_cmd_check_verbitsky_n3_exit_zero(tmp_path, capsys):

@@ -162,6 +162,32 @@ def test_subspace_contains_dimension_guard():
         Subspace.full(3).contains([1, 2])
 
 
+def test_subspace_contains_rejects_inexact_entries():
+    for v in ([Fraction(1, 2), 0.5], [True, 1]):
+        with pytest.raises(TypeError):
+            Subspace.full(2).contains(v)
+
+
+def test_subspace_contains_matches_rank_oracle():
+    rng = random.Random(61)
+    for _ in range(40):
+        rows, cols = rng.randint(1, 4), rng.randint(2, 6)
+        s = Subspace.span(random_rational_matrix(rng, rows, cols, lo=-2, hi=2))
+        basis = [list(row) for row in s.grid]
+        inside = [sum(rng.randint(-2, 2) * row[c] for row in basis) for c in range(cols)]
+        probe = [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(cols)]
+        for v in (inside, probe):
+            assert s.contains(v) == (ff_rank(basis + [v]) == s.dim)
+
+
+def test_is_graded_by_coordinate_labels():
+    # labels (a, b, b) split the row e0 + e1 into e0 and e1, outside the span
+    s = span_of([[1, 1, 0], [0, 0, 1]])
+    assert s.is_graded(["a", "a", "b"])
+    assert not s.is_graded(["a", "b", "b"])
+    assert span_of([[1, 0, 0], [0, 1, 2]]).is_graded(["a", "b", "b"])
+
+
 def test_inverse():
     m = MatrixQ([[2, 1], [1, 1]])
     inv = inverse(m)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from phl.linalg import MatrixQ, inverse, kernel
+from phl.linalg import MatrixQ, Subspace, inverse, kernel
 from phl.models import (
     ModelError,
     ModelSpec,
@@ -36,7 +36,7 @@ def test_k3_sigma_cup_sigma_bar_is_point(k3):
 
 def test_k3_hodge_middle_row(k3):
     counts = {}
-    for p, q in k3.bidegree_list(1):
+    for p, q in k3.bidegrees[1]:
         counts[(p, q)] = counts.get((p, q), 0) + 1
     assert counts == {(2, 0): 1, (0, 2): 1, (1, 1): 20}
 
@@ -140,11 +140,47 @@ def test_validate_passes_on_shipped_models(shipped_models):
         assert rep.all_pass, (name, [r.name for r in rep.failures()])
 
 
-def test_mutated_structure_constant_fails_associativity():
-    m = build_verbitsky(ModelSpec(kind="verbitsky", n=2, b2=5))
-    m.mult[(1, 1)][0, 0, 3] += 1
+def _bump(t, i, j, k):
+    """Add 1 to the structure constant of e_i * e_j at e_k."""
+    col = t.setdefault((i, j), {})
+    col[k] = col.get(k, 0) + 1
+
+
+def _negate_conj_entry(m, d, r):
+    a = m.conj[d].array.copy()
+    a[r, r] = -a[r, r]
+    m.conj[d] = MatrixQ.from_array(a)
+
+
+# one corruption per structural check of validate, with the witnesses the
+# dense-tensor checks gave for the same corruption
+CORRUPTIONS = [
+    ("algebra_unit", lambda m: m.mult[(0, 1)][(0, 2)].update({2: Fraction(2)}), [(1, 2, 2)]),
+    ("algebra_commutative", lambda m: _bump(m.mult[(1, 2)], 0, 1, 2), [(2, 4), (4, 2)]),
+    ("algebra_associative", lambda m: _bump(m.mult[(1, 1)], 0, 0, 3), [(2, 2, 2), (2, 2, 4), (4, 2, 2)]),
+    (
+        "poincare_nondegenerate",
+        lambda m: setattr(m, "integral_vec", np.array([Fraction(0)], dtype=object)),
+        [0, 2, 4, 6, 8],
+    ),
+    ("mult_bigraded", lambda m: _bump(m.mult[(1, 1)], 2, 2, 0), [(2, 2, 2, 2, 0)]),
+    ("conj_involution", lambda m: m.conj.__setitem__(1, m.conj[1].scale(2)), [("involution", 2)]),
+    ("conj_algebra_map", lambda m: _negate_conj_entry(m, 1, 4), [(2, 2), (2, 4), (2, 6), (4, 2), (6, 2)]),
+    (
+        "verbitsky_kernel_ideal",
+        lambda m: m.pairing_kernels.__setitem__(4, Subspace.span(m.pairing_kernels[4].grid[:-1])),
+        [(6, 7, 4), (6, 8, 3), (6, 26, 4), (6, 27, 3)],
+    ),
+]
+
+
+@pytest.mark.parametrize("check,corrupt,witnesses", CORRUPTIONS, ids=[c[0] for c in CORRUPTIONS])
+def test_corrupted_model_fails_named_check(check, corrupt, witnesses):
+    m = build_verbitsky(ModelSpec(kind="verbitsky", n=2, b2=5))  # validated
+    corrupt(m)
     rep = validate(m)
-    assert not rep["algebra_associative"].passed
+    assert not rep[check].passed
+    assert rep[check].witnesses == witnesses
 
 
 def test_kernel_ideal_probe_runs_on_verbitsky(verb_n3_b5):

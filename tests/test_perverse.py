@@ -57,7 +57,7 @@ def test_verbitsky_hodge_graded_dims_match_bidegree_counts(verb_n2_b5):
     assert mismatches == []
     for d in range(m.pieces):
         for k in range(0, 2 * m.n + 1):
-            expect = sum(1 for (p, q) in m.bidegree_list(d) if q >= 2 * m.n - k)
+            expect = sum(1 for (p, q) in m.bidegrees[d] if q >= 2 * m.n - k)
             assert filt.steps[2 * d][k].dim == expect
 
 
