@@ -249,16 +249,13 @@ def commutator_nilpotency_check(
 
     t0 = time.perf_counter()
     a = comm.array
+    piece = [slice(model.offsets[d], model.offsets[d + 1]) for d in range(model.pieces)]
     bad = []
     for d1 in range(model.pieces):
         for d2 in range(model.pieces):
             if d1 == d2:
                 continue
-            blk = a[
-                model.offsets[d1] : model.offsets[d1 + 1],
-                model.offsets[d2] : model.offsets[d2 + 1],
-            ]
-            if any(x for x in blk.flat):
+            if any(x for row in a[piece[d1]] for x in row[piece[d2]]):
                 bad.append([2 * d1, 2 * d2])
     rep.add("commutator_degree_preserving", not bad, witnesses=bad, seconds=time.perf_counter() - t0)
     if bad:
@@ -271,10 +268,7 @@ def commutator_nilpotency_check(
     bad = []
     filtrations = {}
     for d in range(model.pieces):
-        blk = a[
-            model.offsets[d] : model.offsets[d + 1],
-            model.offsets[d] : model.offsets[d + 1],
-        ]
+        blk = [row[piece[d]] for row in a[piece[d]]]
         expected = min(d, 2 * n - d)
         try:
             op = NilpotentOperator(blk)

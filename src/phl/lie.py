@@ -25,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .filtration import NilpotentOperator, NotNilpotentError
 from .linalg import (
     DimensionMismatch,
@@ -34,7 +32,9 @@ from .linalg import (
     SpanReducer,
     _dot,
     _integer_row,
+    _matrix,
     _primitive,
+    _transpose,
     inverse,
     kernel,
 )
@@ -70,10 +70,8 @@ class GradingOperator:
 
     def matrix(self) -> MatrixQ:
         n = len(self.diag)
-        a = np.zeros((n, n), dtype=object)
-        for i, v in enumerate(self.diag):
-            a[i, i] = Fraction(v)
-        return MatrixQ.from_array(a)
+        rows = [[Fraction(v) if i == j else 0 for j in range(n)] for i, v in enumerate(self.diag)]
+        return MatrixQ.from_rows(rows, n)
 
 
 def degree_grading(model) -> GradingOperator:
@@ -88,19 +86,23 @@ def pq_difference_grading(model) -> GradingOperator:
     return GradingOperator("Hpq_difference", model.pq_difference_diag())
 
 
-def _as_array(op) -> np.ndarray:
-    if isinstance(op, NilpotentOperator):
-        return op.matrix.array
-    if isinstance(op, MatrixQ):
-        return op.array
-    return np.asarray(op, dtype=object)
+def _as_matrix(op) -> MatrixQ:
+    return op.matrix if isinstance(op, NilpotentOperator) else _matrix(op)
 
 
-def _sparse(a: np.ndarray) -> dict:
-    """Nonzero entries of a square array as {i*D + j: entry}, row-major."""
-    D = a.shape[1]
-    rows, cols = np.nonzero(a)
-    return {i * D + j: a[i, j] for i, j in zip(rows.tolist(), cols.tolist())}
+def _sparse(m: MatrixQ) -> dict:
+    """Nonzero entries of a matrix as {i*D + j: entry}, row-major, D = m.cols."""
+    D = m.cols
+    return {i * D + j: x for i, row in enumerate(m.array) for j, x in enumerate(row) if x}
+
+
+def _dense(v: dict, D: int) -> MatrixQ:
+    """The D x D matrix of a sparse operator {i*D + j: entry}."""
+    out = [[0] * D for _ in range(D)]
+    for key, x in v.items():
+        i, j = divmod(key, D)
+        out[i][j] = x
+    return MatrixQ.from_rows(out, D)
 
 
 def sl2_complete(L, H: GradingOperator) -> MatrixQ:
@@ -111,18 +113,21 @@ def sl2_complete(L, H: GradingOperator) -> MatrixQ:
     grading -k, builds the primitive strings in local coordinates, inverts
     the string matrix of each grading and forms Λ block by block.
     """
-    A = _as_array(L)
+    A = _as_matrix(L)
     lam = H.diag
-    D = A.shape[0]
-    if A.shape != (D, D) or len(lam) != D:
+    D = A.rows
+    if A.cols != D or len(lam) != D:
         raise DimensionMismatch("operator and grading sizes differ")
     coords: dict[int, list] = {}
     for c, v in enumerate(lam):
         coords.setdefault(v, []).append(c)
     local = {c: t for cs in coords.values() for t, c in enumerate(cs)}
 
-    def zeros(g, width):
-        return np.zeros((len(coords.get(g, ())), width), dtype=object)
+    def dim(g):
+        return len(coords.get(g, ()))
+
+    def zeros(g, width):  # rows of a zero block with values in grading g
+        return [[0] * width for _ in range(dim(g))]
 
     blocks = {g: zeros(g + 2, len(cs)) for g, cs in coords.items()}
     for key, x in _sparse(A).items():
@@ -131,7 +136,7 @@ def sl2_complete(L, H: GradingOperator) -> MatrixQ:
             raise Sl2CompletionError(
                 f"[H, L] != 2L: entry ({i}, {j}) connects grading {lam[j]} to {lam[i]}"
             )
-        blocks[lam[j]][local[i], local[j]] = x
+        blocks[lam[j]][local[i]][local[j]] = x
 
     def block(g):  # L from grading g to grading g + 2
         return blocks[g] if g in blocks else zeros(g + 2, 0)
@@ -151,45 +156,60 @@ def sl2_complete(L, H: GradingOperator) -> MatrixQ:
             )
         if not lo:
             continue
+        w = len(lo)
         powers = [None, block(-k)]  # powers[j] = L^j restricted to grading -k
         for j in range(1, k + 1):
-            powers.append(_dot(block(2 * j - k), powers[-1]))
+            powers.append(_dot(block(2 * j - k), powers[-1], w))
         if k:
-            r = MatrixQ.from_array(powers[k]).rank()
+            r = MatrixQ.from_rows(powers[k], w).rank()
             if r != len(lo):
                 raise Sl2CompletionError(
                     f"hard Lefschetz fails: L^{k} maps the grading -{k} piece (dim {len(lo)}) "
                     f"to a rank-{r} image in the grading {k} piece; no sl2 partner exists"
                 )
-        prim = kernel(MatrixQ.from_array(powers[k + 1])).basis_array().T
-        string = [prim] + [_dot(powers[j], prim) for j in range(1, k + 1)]
+        prim = list(kernel(MatrixQ.from_rows(powers[k + 1], w)).grid)
+        string = [prim] + [
+            _dot(prim, _transpose(powers[j], w), dim(2 * j - k)) for j in range(1, k + 1)
+        ]
         for j, vecs in enumerate(string):
-            strings[2 * j - k].append(vecs)
-            images[2 * j - k].append(
-                string[j - 1] * (j * (k - j + 1)) if j else zeros(-k - 2, prim.shape[1])
+            strings[2 * j - k].extend(vecs)
+            images[2 * j - k].extend(
+                [[x * (j * (k - j + 1)) for x in v] for v in string[j - 1]]
+                if j
+                else [[0] * dim(-k - 2) for _ in prim]
             )
-    spanned = sum(v.shape[1] for vs in strings.values() for v in vs)
+    spanned = sum(len(vs) for vs in strings.values())
     if spanned != D:
         raise Sl2CompletionError(f"primitive strings span {spanned} of {D} dimensions")
 
-    # Λ from grading g to g - 2 is S_(g-2) C S_g^(-1); then [L, Λ] = H blockwise
+    # Λ from grading g to g - 2 is S_(g-2) C S_g^(-1), with the string and
+    # image vectors of grading g as the columns of S_g and S_(g-2) C; its
+    # transpose is inverse(S_g^T) times the image vectors as rows.  Then
+    # [L, Λ] = H is checked blockwise.
     partner = {
-        g: _dot(np.hstack(images[g]), inverse(MatrixQ.from_array(np.hstack(strings[g]))).array)
-        for g in coords
+        g: _transpose(
+            _dot(inverse(MatrixQ.from_rows(strings[g], len(cs))).array, images[g], dim(g - 2)),
+            dim(g - 2),
+        )
+        for g, cs in coords.items()
     }
-    out = np.zeros((D, D), dtype=object)
+    out = [[0] * D for _ in range(D)]
     for g, cs in coords.items():
-        comm = _dot(block(g - 2), partner[g]) - _dot(partner.get(g + 2, zeros(g, 0)), block(g))
-        if not np.array_equal(comm, g * np.identity(len(cs), dtype=int)):
+        n = len(cs)
+        up = _dot(block(g - 2), partner[g], n)
+        down = _dot(partner.get(g + 2, zeros(g, 0)), block(g), n)
+        comm = [[x - y for x, y in zip(ru, rd)] for ru, rd in zip(up, down)]
+        if comm != [[g * (r == c) for c in range(n)] for r in range(n)]:
             raise Sl2CompletionError("internal: [L, partner] != H")
-        if g - 2 in coords:
-            out[np.ix_(coords[g - 2], cs)] = partner[g]
-    return MatrixQ.from_array(out)
+        for r, i in enumerate(coords.get(g - 2, ())):
+            for c, j in enumerate(cs):
+                out[i][j] = partner[g][r][c]
+    return MatrixQ.from_rows(out, D)
 
 
 def _integer_entries(x) -> dict:
     """Nonzero entries of an operator as a primitive integer dict {i*D + j: entry}."""
-    return _integer_row(_as_array(x).ravel())
+    return _integer_row(e for row in _as_matrix(x).array for e in row)
 
 
 def _indexed(v: dict, D: int):
@@ -217,14 +237,11 @@ def _bracket(a: dict, b_rows: dict, b_cols: dict, D: int) -> dict:
 
 
 def bracket(a, b) -> MatrixQ:
-    aa, bb = _as_array(a), _as_array(b)
-    D = aa.shape[0]
-    if aa.shape != (D, D) or bb.shape != (D, D):
+    aa, bb = _as_matrix(a), _as_matrix(b)
+    D = aa.rows
+    if (aa.cols, bb.rows, bb.cols) != (D, D, D):
         raise DimensionMismatch("bracket of operators of different sizes")
-    out = np.zeros((D, D), dtype=object)
-    for key, x in _bracket(_sparse(aa), *_indexed(_sparse(bb), D), D).items():
-        out[divmod(key, D)] = x
-    return MatrixQ.from_array(out)
+    return _dense(_bracket(_sparse(aa), *_indexed(_sparse(bb), D), D), D)
 
 
 class LieSubalgebra:
@@ -242,14 +259,7 @@ class LieSubalgebra:
         return self._reducer.contains(_integer_entries(x))
 
     def basis_matrices(self):
-        out = []
-        D = self.op_dim
-        for row in self._reducer.canonical_rows():
-            a = np.zeros((D, D), dtype=object)
-            for c, x in row.items():
-                a[c // D, c % D] = x
-            out.append(MatrixQ.from_array(a))
-        return out
+        return [_dense(row, self.op_dim) for row in self._reducer.canonical_rows()]
 
 
 def lie_closure(generators) -> LieSubalgebra:
@@ -259,14 +269,14 @@ def lie_closure(generators) -> LieSubalgebra:
     identity that already saturates the generated subalgebra.  Terminates
     since the dimension is bounded by (ambient dim)^2.
     """
-    arrays = [_as_array(g) for g in generators]
-    if not arrays:
+    mats = [_as_matrix(g) for g in generators]
+    if not mats:
         raise ValueError("empty generator list")
-    D = arrays[0].shape[0]
-    for g in arrays:
-        if g.shape != (D, D):
+    D = mats[0].rows
+    for g in mats:
+        if (g.rows, g.cols) != (D, D):
             raise DimensionMismatch("generators must be square of equal size")
-    gens = [_integer_entries(g) for g in arrays]
+    gens = [_integer_entries(g) for g in mats]
     indexed = [_indexed(g, D) for g in gens]
     reducer = SpanReducer()
     queue = [g for g in gens if reducer.insert(g)]
@@ -281,10 +291,10 @@ def lie_closure(generators) -> LieSubalgebra:
 
 def membership(algebra: LieSubalgebra, x) -> bool:
     """Exact test that x lies in the span of the algebra basis."""
-    a = _as_array(x)
-    if a.shape != (algebra.op_dim, algebra.op_dim):
+    a = _as_matrix(x)
+    if (a.rows, a.cols) != (algebra.op_dim, algebra.op_dim):
         raise DimensionMismatch(
-            f"operator is {a.shape}, algebra acts on {algebra.op_dim}x{algebra.op_dim}"
+            f"operator is {(a.rows, a.cols)}, algebra acts on {algebra.op_dim}x{algebra.op_dim}"
         )
     return algebra.contains_operator(a)
 
@@ -299,10 +309,10 @@ def so6_generators(model):
     beta+omega used to generate the rank-3 symmetry algebra."""
     c = model.classes
     return [
-        c.sigma + c.sigma_bar,
-        c.sigma - c.sigma_bar,
+        tuple(x + y for x, y in zip(c.sigma, c.sigma_bar)),
+        tuple(x - y for x, y in zip(c.sigma, c.sigma_bar)),
         c.omega,
-        c.beta + c.omega,
+        tuple(x + y for x, y in zip(c.beta, c.omega)),
     ]
 
 
@@ -314,16 +324,11 @@ def lefschetz_spanning_set(model):
 
     def candidates():
         for i in range(b2):
-            v = np.zeros(b2, dtype=object)
-            v[i] = 1
-            yield v
+            yield tuple(int(c == i) for c in range(b2))
         for s in (1, -1, 2):
             for i in range(b2):
                 for j in range(i + 1, b2):
-                    v = np.zeros(b2, dtype=object)
-                    v[i] = 1
-                    v[j] = s
-                    yield v
+                    yield tuple(1 if c == i else s if c == j else 0 for c in range(b2))
 
     for v in candidates():
         if len(found) == b2:
@@ -358,11 +363,7 @@ def so6_report(model, lam_sigma_bar=None) -> CheckReport:
     t0 = time.perf_counter()
     c = model.classes
     span4 = [c.sigma, c.sigma_bar, c.beta, c.omega]
-    gram4 = np.empty((4, 4), dtype=object)
-    for i in range(4):
-        for j in range(4):
-            gram4[i, j] = q(span4[i], span4[j])
-    q4_ok = MatrixQ.from_array(gram4).rank() == 4
+    q4_ok = MatrixQ([[q(x, y) for y in span4] for x in span4]).rank() == 4
     rep.add("q_restriction_nondegenerate", q4_ok, seconds=time.perf_counter() - t0)
     if bad or not q4_ok:
         return rep

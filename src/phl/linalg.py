@@ -1,7 +1,8 @@
 """Exact linear algebra over the rationals, on one elimination engine.
 
-Matrices hold Fraction (or plain int) entries inside numpy object arrays;
-all arithmetic is exact.  Products multiply nonzero entries only (``_dot``).
+Matrices hold their rows as plain Python lists of Fraction (or plain int)
+entries; all arithmetic is exact.  Products multiply nonzero entries only
+(``_dot``).
 Subspaces are stored as reduced row echelon bases with strictly increasing
 pivot columns, so two subspaces are equal exactly when their basis grids
 are equal.
@@ -19,9 +20,8 @@ vector against a ``SpanReducer`` of the basis, cached on the subspace, and
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
-
-import numpy as np
 
 __all__ = [
     "DimensionMismatch",
@@ -45,21 +45,16 @@ class DimensionMismatch(ValueError):
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
+    if isinstance(x, numbers.Integral) and not isinstance(x, bool):
         return Fraction(int(x))
     if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
 
 
-def _object_matrix(data) -> np.ndarray:
-    if isinstance(data, np.ndarray) and data.dtype == object:
-        return data
-    rows = [[_frac(x) for x in row] for row in data]
-    a = np.empty((len(rows), len(rows[0]) if rows else 0), dtype=object)
-    for i, row in enumerate(rows):
-        a[i, :] = row
-    return a
+def _transpose(rows, cols: int) -> list:
+    """Rows of the transpose of a matrix with the given rows and column count."""
+    return [list(col) for col in zip(*rows)] if rows else [[] for _ in range(cols)]
 
 
 def _primitive(v: dict) -> dict:
@@ -149,33 +144,54 @@ class SpanReducer:
         return out
 
 
-def _rref(a: np.ndarray):
-    """Reduced row echelon form of an exact matrix.
+def _rref(rows, cols: int):
+    """Reduced row echelon form of an exact matrix given by its rows.
 
     Returns (rows, pivots) where rows is a tuple of Fraction-tuples (the
     nonzero RREF rows, pivot entries equal to 1) and pivots the strictly
     increasing pivot column indices.
     """
     reducer = SpanReducer()
-    for row in a:
+    for row in rows:
         reducer.insert(_integer_row(row))
-    zero = (Fraction(0),) * a.shape[1]
-    rows = []
+    zero = (Fraction(0),) * cols
+    out = []
     for row in reducer.canonical_rows():
         full = list(zero)
         for c, x in row.items():
             full[c] = x
-        rows.append(tuple(full))
-    return tuple(rows), sorted(reducer.rows)
+        out.append(tuple(full))
+    return tuple(out), sorted(reducer.rows)
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for object arrays, multiplying nonzero entries only."""
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=object)
-    support = [np.flatnonzero(row) for row in b]
-    for i, k in zip(*np.nonzero(a)):
-        cols = support[k]
-        out[i, cols] += a[i, k] * b[k, cols]
+def _null_rows(grid, pivots, cols: int) -> list:
+    """One vector per non-pivot column f of an RREF: e_f minus the entries
+    of column f at the pivots.  They span the null space of the RREF."""
+    piv = set(pivots)
+    out = []
+    for f in range(cols):
+        if f in piv:
+            continue
+        v = [Fraction(0)] * cols
+        v[f] = Fraction(1)
+        for row, p in zip(grid, pivots):
+            v[p] = -row[f]
+        out.append(v)
+    return out
+
+
+def _dot(a, b, cols: int) -> list:
+    """a @ b for matrices given by their rows, b with `cols` columns,
+    multiplying nonzero entries only."""
+    support = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc = [0] * cols
+        for k, x in enumerate(row):
+            if x:
+                for j, y in support[k]:
+                    acc[j] += x * y
+        out.append(acc)
     return out
 
 
@@ -185,33 +201,34 @@ class MatrixQ:
     __slots__ = ("rows", "cols", "_a", "_grid")
 
     def __init__(self, data):
-        a = _object_matrix(data)
+        a = [[_frac(x) for x in row] for row in data]
+        cols = len(a[0]) if a else 0
+        if any(len(row) != cols for row in a):
+            raise DimensionMismatch("matrix rows of unequal length")
         self._a = a
-        self.rows, self.cols = a.shape
+        self.rows, self.cols = len(a), cols
         self._grid = None
 
     @classmethod
-    def from_array(cls, a: np.ndarray) -> "MatrixQ":
+    def from_rows(cls, rows, cols: int) -> "MatrixQ":
+        """Matrix on the given rows of exact entries, taken without copying."""
         m = object.__new__(cls)
-        m._a = a
-        m.rows, m.cols = a.shape
+        m._a = rows
+        m.rows, m.cols = len(rows), cols
         m._grid = None
         return m
 
     @classmethod
     def identity(cls, n: int) -> "MatrixQ":
-        a = np.zeros((n, n), dtype=object)
-        for i in range(n):
-            a[i, i] = 1
-        return cls.from_array(a)
+        return cls.from_rows([[int(i == j) for j in range(n)] for i in range(n)], n)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "MatrixQ":
-        return cls.from_array(np.zeros((rows, cols), dtype=object))
+        return cls.from_rows([[0] * cols for _ in range(rows)], cols)
 
     @property
-    def array(self) -> np.ndarray:
-        """Underlying object array; treat as read-only."""
+    def array(self):
+        """The rows, as sequences of Fraction or int entries; treat as read-only."""
         return self._a
 
     def grid(self):
@@ -220,30 +237,28 @@ class MatrixQ:
         return self._grid
 
     def entry(self, i: int, j: int) -> Fraction:
-        return _frac(self._a[i, j])
+        return _frac(self._a[i][j])
 
     def transpose(self) -> "MatrixQ":
-        return MatrixQ.from_array(self._a.T.copy())
+        return MatrixQ.from_rows(_transpose(self._a, self.cols), self.rows)
 
     def __matmul__(self, other):
-        if isinstance(other, MatrixQ):
-            if self.cols != other.rows:
-                raise DimensionMismatch(f"{self.cols} != {other.rows}")
-            return MatrixQ.from_array(_dot(self._a, other._a))
-        other = np.asarray(other, dtype=object)
-        return self._a @ other
-
-    def __add__(self, other: "MatrixQ") -> "MatrixQ":
-        return MatrixQ.from_array(self._a + other._a)
+        if not isinstance(other, MatrixQ):
+            return NotImplemented
+        if self.cols != other.rows:
+            raise DimensionMismatch(f"{self.cols} != {other.rows}")
+        return MatrixQ.from_rows(_dot(self._a, other._a, other.cols), other.cols)
 
     def __sub__(self, other: "MatrixQ") -> "MatrixQ":
-        return MatrixQ.from_array(self._a - other._a)
-
-    def __neg__(self) -> "MatrixQ":
-        return MatrixQ.from_array(-self._a)
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise DimensionMismatch(f"{self!r} - {other!r}")
+        return MatrixQ.from_rows(
+            [[x - y for x, y in zip(r, s)] for r, s in zip(self._a, other._a)], self.cols
+        )
 
     def scale(self, c) -> "MatrixQ":
-        return MatrixQ.from_array(self._a * _frac(c))
+        c = _frac(c)
+        return MatrixQ.from_rows([[x * c for x in row] for row in self._a], self.cols)
 
     def power(self, k: int) -> "MatrixQ":
         if self.rows != self.cols:
@@ -255,15 +270,18 @@ class MatrixQ:
             out = out @ self
         return out
 
-    def apply(self, v) -> np.ndarray:
+    def apply(self, v) -> tuple:
         """Matrix-vector product m @ v (column-vector convention)."""
-        return self._a @ np.asarray(v, dtype=object)
+        v = tuple(v)
+        if len(v) != self.cols:
+            raise DimensionMismatch(f"vector of length {len(v)} for {self.cols} columns")
+        return tuple(sum(x * y for x, y in zip(row, v) if x) for row in self._a)
 
     def is_zero(self) -> bool:
-        return not any(x for x in self._a.flat)
+        return not any(x for row in self._a for x in row)
 
     def rank(self) -> int:
-        return len(_rref(self._a)[1])
+        return len(_rref(self._a, self.cols)[1])
 
     def __eq__(self, other):
         if not isinstance(other, MatrixQ):
@@ -275,6 +293,10 @@ class MatrixQ:
 
     def __repr__(self):
         return f"MatrixQ({self.rows}x{self.cols})"
+
+
+def _matrix(m) -> MatrixQ:
+    return m if isinstance(m, MatrixQ) else MatrixQ(m)
 
 
 class Subspace:
@@ -311,34 +333,20 @@ class Subspace:
     @classmethod
     def span(cls, vectors, ambient_dim: int | None = None) -> "Subspace":
         """Canonical subspace spanned by the given row vectors."""
-        if isinstance(vectors, MatrixQ):
-            a = vectors.array
-        else:
-            vectors = list(vectors)
-            if not vectors:
-                if ambient_dim is None:
-                    raise ValueError("ambient_dim required for an empty span")
-                return cls.zero(ambient_dim)
-            a = _object_matrix(vectors)
-        if a.shape[0] == 0:
+        m = _matrix(vectors)
+        if m.rows == 0:
             if ambient_dim is None:
                 raise ValueError("ambient_dim required for an empty span")
             return cls.zero(ambient_dim)
-        grid, pivots = _rref(a)
-        return cls(a.shape[1], grid, pivots)
+        grid, pivots = _rref(m.array, m.cols)
+        return cls(m.cols, grid, pivots)
 
     @property
     def dim(self) -> int:
         return len(self.grid)
 
     def basis(self) -> MatrixQ:
-        return MatrixQ.from_array(self.basis_array())
-
-    def basis_array(self) -> np.ndarray:
-        a = np.empty((self.dim, self.ambient_dim), dtype=object)
-        for i, row in enumerate(self.grid):
-            a[i, :] = row
-        return a
+        return MatrixQ.from_rows(self.grid, self.ambient_dim)
 
     def contains(self, v) -> bool:
         """Exact membership of a vector (any iterable of rationals)."""
@@ -369,22 +377,14 @@ class Subspace:
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(row) for row in other.grid)
 
-    def constraints(self) -> np.ndarray:
-        """Matrix C with self == {x : C @ x == 0}; cached.
+    def constraints(self) -> list:
+        """Rows of a matrix C with self == {x : C @ x == 0}; cached.
 
         One constraint per non-pivot column, read directly off the RREF
         basis, so no extra elimination is needed.
         """
         if self._constraints is None:
-            n = self.ambient_dim
-            piv = set(self.pivots)
-            free = [c for c in range(n) if c not in piv]
-            C = np.zeros((len(free), n), dtype=object)
-            for t, f in enumerate(free):
-                C[t, f] = Fraction(1)
-                for i, p in enumerate(self.pivots):
-                    C[t, p] = -self.grid[i][f]
-            self._constraints = C
+            self._constraints = _null_rows(self.grid, self.pivots, self.ambient_dim)
         return self._constraints
 
     def __eq__(self, other):
@@ -401,38 +401,23 @@ class Subspace:
 
 def reduce(m: MatrixQ):
     """Canonical row-space basis and rank of a matrix."""
-    if isinstance(m, MatrixQ):
-        a = m.array
-    else:
-        a = _object_matrix(m)
-    grid, pivots = _rref(a)
-    return Subspace(a.shape[1], grid, pivots), len(pivots)
+    m = _matrix(m)
+    grid, pivots = _rref(m.array, m.cols)
+    return Subspace(m.cols, grid, pivots), len(pivots)
 
 
 def kernel(m: MatrixQ) -> Subspace:
     """Null space {v : m @ v == 0} as a canonical subspace."""
-    a = m.array if isinstance(m, MatrixQ) else _object_matrix(m)
-    nr, nc = a.shape
-    grid, pivots = _rref(a)
-    piv_set = set(pivots)
-    free = [c for c in range(nc) if c not in piv_set]
-    if not free:
-        return Subspace.zero(nc)
-    vecs = []
-    for f in free:
-        v = [Fraction(0)] * nc
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -grid[i][f]
-        vecs.append(v)
-    return Subspace.span(vecs)
+    m = _matrix(m)
+    vecs = _null_rows(*_rref(m.array, m.cols), m.cols)
+    return Subspace.span(vecs) if vecs else Subspace.zero(m.cols)
 
 
 def image(m: MatrixQ) -> Subspace:
     """Column space of m, i.e. the span of m @ v over all v."""
-    a = m.array if isinstance(m, MatrixQ) else _object_matrix(m)
-    grid, pivots = _rref(a.T)
-    return Subspace(a.shape[0], grid, pivots)
+    m = _matrix(m)
+    grid, pivots = _rref(_transpose(m.array, m.cols), m.rows)
+    return Subspace(m.rows, grid, pivots)
 
 
 def _check_same_ambient(a: Subspace, b: Subspace) -> None:
@@ -444,12 +429,11 @@ def meet(a: Subspace, b: Subspace) -> Subspace:
     """Intersection a ∩ b."""
     _check_same_ambient(a, b)
     ca, cb = a.constraints(), b.constraints()
-    if ca.shape[0] == 0:
+    if not ca:
         return b
-    if cb.shape[0] == 0:
+    if not cb:
         return a
-    stacked = np.vstack([ca, cb])
-    return kernel(MatrixQ.from_array(stacked))
+    return kernel(MatrixQ.from_rows(ca + cb, a.ambient_dim))
 
 
 def join(a: Subspace, b: Subspace) -> Subspace:
@@ -476,11 +460,8 @@ def inverse(m: MatrixQ) -> MatrixQ:
     if m.rows != m.cols:
         raise DimensionMismatch("inverse of a non-square matrix")
     n = m.rows
-    aug = np.hstack([m.array, MatrixQ.identity(n).array])
-    grid, pivots = _rref(aug)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m.array)]
+    grid, pivots = _rref(aug, 2 * n)
     if list(pivots) != list(range(n)):
         raise ValueError("matrix is singular")
-    inv = np.empty((n, n), dtype=object)
-    for i in range(n):
-        inv[i, :] = grid[i][n:]
-    return MatrixQ.from_array(inv)
+    return MatrixQ.from_rows([row[n:] for row in grid], n)

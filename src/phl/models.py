@@ -32,8 +32,6 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .filtration import NilpotentOperator
 from .linalg import MatrixQ, Subspace, _frac, _integer_row, kernel, reduce
 from .report import CheckReport
@@ -71,19 +69,20 @@ class ModelError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def default_gram(b2: int) -> np.ndarray:
+def default_gram(b2: int) -> list:
     """Two hyperbolic pairs (sigma, sigma-bar) and (beta, beta-dual), then a
-    diagonal tail: (+1, -1 x 17) for b2 = 22, all -1 otherwise."""
-    g = np.zeros((b2, b2), dtype=object)
-    g[0, 1] = g[1, 0] = 1
-    g[2, 3] = g[3, 2] = 1
+    diagonal tail: (+1, -1 x 17) for b2 = 22, all -1 otherwise.  Returned
+    as rows of Fraction entries."""
+    g = [[Fraction(0)] * b2 for _ in range(b2)]
+    g[0][1] = g[1][0] = Fraction(1)
+    g[2][3] = g[3][2] = Fraction(1)
     if b2 == 22:
-        g[4, 4] = 1
+        g[4][4] = Fraction(1)
         for i in range(5, b2):
-            g[i, i] = -1
+            g[i][i] = Fraction(-1)
     else:
         for i in range(4, b2):
-            g[i, i] = -1
+            g[i][i] = Fraction(-1)
     return g
 
 
@@ -92,24 +91,24 @@ class QuadraticSpace:
 
     __slots__ = ("b2", "gram", "labels")
 
-    def __init__(self, b2: int, gram: np.ndarray, labels):
+    def __init__(self, b2: int, gram, labels):
         self.b2 = b2
-        self.gram = gram
+        self.gram = gram  # rows of exact entries
         self.labels = tuple(labels)
-        if gram.shape != (b2, b2):
+        if len(gram) != b2 or any(len(row) != b2 for row in gram):
             raise ModelError(f"gram must be {b2}x{b2}")
         if self.labels.count("sigma") != 1 or self.labels.count("sigma_bar") != 1:
             raise ModelError("exactly one basis vector must carry each of sigma, sigma_bar")
         for i in range(b2):
             for j in range(i, b2):
-                if gram[i, j] != gram[j, i]:
+                if gram[i][j] != gram[j][i]:
                     raise ModelError("gram is not symmetric")
-        if MatrixQ.from_array(gram).rank() != b2:
+        if MatrixQ(gram).rank() != b2:
             raise ModelError("gram is degenerate")
         s, sb = self.sigma_index, self.sigma_bar_index
-        if gram[s, s] != 0 or gram[sb, sb] != 0:
+        if gram[s][s] != 0 or gram[sb][sb] != 0:
             raise ModelError("sigma and sigma_bar must be isotropic")
-        if gram[s, sb] == 0:
+        if gram[s][sb] == 0:
             raise ModelError("q(sigma, sigma_bar) must be nonzero")
 
     @property
@@ -121,9 +120,9 @@ class QuadraticSpace:
         return self.labels.index("sigma_bar")
 
     def pair(self, x, y) -> Fraction:
-        x = np.asarray(x, dtype=object)
-        y = np.asarray(y, dtype=object)
-        return _frac((x @ self.gram @ y))
+        y = tuple(y)
+        gy = (sum(g * b for g, b in zip(row, y) if g) for row in self.gram)
+        return _frac(sum(a * c for a, c in zip(x, gy) if a))
 
     def bidegree(self, i: int):
         return {"sigma": (2, 0), "sigma_bar": (0, 2)}.get(self.labels[i], (1, 1))
@@ -131,26 +130,23 @@ class QuadraticSpace:
 
 @dataclass
 class DistinguishedClasses:
-    """Coordinates (in the degree-2 basis) of sigma, sigma-bar, beta, omega."""
+    """Coordinates (in the degree-2 basis) of sigma, sigma-bar, beta, omega,
+    as tuples of Fraction."""
 
-    sigma: np.ndarray
-    sigma_bar: np.ndarray
-    beta: np.ndarray
-    omega: np.ndarray
+    sigma: tuple
+    sigma_bar: tuple
+    beta: tuple
+    omega: tuple
 
     def as_rows(self):
         return [self.sigma, self.sigma_bar, self.beta, self.omega]
 
 
 def _default_classes(b2: int) -> DistinguishedClasses:
-    def e(i):
-        v = np.zeros(b2, dtype=object)
-        v[i] = Fraction(1)
-        return v
+    def e(*idx):
+        return tuple(Fraction(int(i in idx)) for i in range(b2))
 
-    omega = e(2)
-    omega[3] = Fraction(1)
-    return DistinguishedClasses(sigma=e(0), sigma_bar=e(1), beta=e(2), omega=omega)
+    return DistinguishedClasses(sigma=e(0), sigma_bar=e(1), beta=e(2), omega=e(2, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +161,7 @@ class ModelSpec:
     kind: str
     n: int
     b2: int
-    gram: np.ndarray | None = None
+    gram: list | None = None  # rows of Fraction entries
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ModelSpec":
@@ -192,16 +188,16 @@ class ModelSpec:
             raw = doc["gram"]
             if not isinstance(raw, list) or not raw or any(not isinstance(r, list) for r in raw):
                 raise SpecError("spec field 'gram' must be a matrix of rational strings")
-            g = np.empty((len(raw), len(raw[0])), dtype=object)
-            for i, row in enumerate(raw):
+            gram = []
+            for row in raw:
                 if len(row) != len(raw[0]):
                     raise SpecError("gram rows have unequal lengths")
-                for j, x in enumerate(row):
+                gram.append([])
+                for x in row:
                     try:
-                        g[i, j] = _frac(x)
+                        gram[-1].append(_frac(x))
                     except (TypeError, ValueError, ZeroDivisionError):
                         raise SpecError(f"not a rational: {x!r}") from None
-            gram = g
         return cls(kind=kind, n=n, b2=b2, gram=gram)
 
     def validate_scale(self) -> None:
@@ -226,7 +222,9 @@ class ModelSpec:
                 raise ModelError(
                     f"verbitsky models support b2 <= {cap} at n = {self.n}, got b2 = {self.b2}"
                 )
-        if self.gram is not None and self.gram.shape != (self.b2, self.b2):
+        if self.gram is not None and (
+            len(self.gram) != self.b2 or any(len(row) != self.b2 for row in self.gram)
+        ):
             raise ModelError(f"gram must be {self.b2}x{self.b2}")
 
 
@@ -277,7 +275,7 @@ def all_pairings(items):
             yield [(first, other)] + sub
 
 
-def matching_integral(gram: np.ndarray, indices) -> Fraction:
+def matching_integral(gram, indices) -> Fraction:
     """Sum over perfect matchings of prod q(x_a, x_b) for the given factor
     list; zero for an odd number of factors."""
     indices = list(indices)
@@ -287,7 +285,7 @@ def matching_integral(gram: np.ndarray, indices) -> Fraction:
     for pairing in all_pairings(indices):
         term = Fraction(1)
         for a, b in pairing:
-            term *= _frac(gram[a, b])
+            term *= _frac(gram[a][b])
             if term == 0:
                 break
         total += term
@@ -382,13 +380,13 @@ class GradedAlgebraModel:
         the top degree."""
         if da + db >= self.pieces:
             return None
-        out = np.zeros(self.dims[da + db], dtype=object)
+        out = [Fraction(0)] * self.dims[da + db]
         for k, x in _product(self.mult[(da, db)], _sparse(va), _sparse(vb)).items():
             out[k] = x
         return out
 
     def integral(self, v_top) -> Fraction:
-        return _frac(np.asarray(v_top, dtype=object) @ self.integral_vec)
+        return _frac(sum(x * y for x, y in zip(v_top, self.integral_vec)))
 
     def q(self, x, y) -> Fraction:
         return self.quad.pair(x, y)
@@ -396,13 +394,14 @@ class GradedAlgebraModel:
     def lefschetz_matrix(self, x) -> MatrixQ:
         """Global cup-product-with-x operator for a degree-2 class x."""
         xs = _sparse(x)
-        out = np.zeros((self.total_dim, self.total_dim), dtype=object)
+        D = self.total_dim
+        out = [[0] * D for _ in range(D)]
         for d in range(self.pieces - 1):
             t, rows, cols = self.mult[(1, d)], self.offsets[d + 1], self.offsets[d]
             for j in range(self.dims[d]):
                 for k, y in _product(t, xs, {j: 1}).items():
-                    out[rows + k, cols + j] = y
-        return MatrixQ.from_array(out)
+                    out[rows + k][cols + j] = y
+        return MatrixQ.from_rows(out, D)
 
     # -- gradings -------------------------------------------------------------
 
@@ -429,11 +428,12 @@ class GradedAlgebraModel:
         s = _frac(sigma_scale)
         if b == 0 or s == 0:
             raise ModelError("class rescalings must be nonzero")
+        c = self.classes
         cls = DistinguishedClasses(
-            sigma=self.classes.sigma * s,
-            sigma_bar=self.classes.sigma_bar * s,
-            beta=self.classes.beta * b,
-            omega=self.classes.omega.copy(),
+            sigma=tuple(x * s for x in c.sigma),
+            sigma_bar=tuple(x * s for x in c.sigma_bar),
+            beta=tuple(x * b for x in c.beta),
+            omega=c.omega,
         )
         clone = object.__new__(GradedAlgebraModel)
         clone.__dict__.update(self.__dict__)
@@ -498,16 +498,13 @@ def build_k3(spec: ModelSpec) -> GradedAlgebraModel:
         mult[(0, d)] = {(0, j): {j: one} for j in range(dim)}
         mult[(d, 0)] = {(j, 0): {j: one} for j in range(dim)}
     mult[(1, 1)] = {
-        (i, j): {0: _frac(quad.gram[i, j])} for i in range(b2) for j in range(b2) if quad.gram[i, j]
+        (i, j): {0: _frac(x)} for i, row in enumerate(quad.gram) for j, x in enumerate(row) if x
     }
-    integral_vec = np.array([Fraction(1)], dtype=object)
-    conj2 = np.zeros((b2, b2), dtype=object)
-    for i in range(b2):
-        conj2[i, i] = Fraction(1)
+    integral_vec = (Fraction(1),)
     s, sb = quad.sigma_index, quad.sigma_bar_index
-    conj2[s, s] = conj2[sb, sb] = Fraction(0)
-    conj2[sb, s] = conj2[s, sb] = Fraction(1)
-    conj = [MatrixQ.identity(1), MatrixQ.from_array(conj2), MatrixQ.identity(1)]
+    swap = {s: sb, sb: s}
+    conj2 = [[Fraction(int(j == swap.get(i, i))) for j in range(b2)] for i in range(b2)]
+    conj = [MatrixQ.identity(1), MatrixQ.from_rows(conj2, b2), MatrixQ.identity(1)]
     model = GradedAlgebraModel(
         kind="k3",
         n=1,
@@ -523,13 +520,13 @@ def build_k3(spec: ModelSpec) -> GradedAlgebraModel:
     return model
 
 
-def _pairing_matrix(gram, mono_a, mono_b):
-    out = np.zeros((len(mono_a), len(mono_b)), dtype=object)
-    for i, a in enumerate(mono_a):
+def _pairing_matrix(gram, mono_a, mono_b) -> MatrixQ:
+    """Matching-sum pairing of the monomials mono_a (rows) with mono_b."""
+    rows = []
+    for a in mono_a:
         ia = _expand(a)
-        for j, b in enumerate(mono_b):
-            out[i, j] = matching_integral(gram, ia + _expand(b))
-    return out
+        rows.append([matching_integral(gram, ia + _expand(b)) for b in mono_b])
+    return MatrixQ.from_rows(rows, len(mono_b))
 
 
 class _Piece:
@@ -568,8 +565,7 @@ def build_verbitsky(spec: ModelSpec) -> GradedAlgebraModel:
         if d <= n:
             pieces.append(_Piece(mono[d], Subspace.zero(len(mono[d]))))
             continue
-        pair_mat = _pairing_matrix(quad.gram, mono[d], mono[2 * n - d])
-        kern = kernels[d] = kernel(MatrixQ.from_array(pair_mat.T))
+        kern = kernels[d] = kernel(_pairing_matrix(quad.gram, mono[2 * n - d], mono[d]))
         piece = _Piece(mono[d], kern)
         if piece.dim != len(mono[2 * n - d]):
             raise ModelError(
@@ -607,18 +603,18 @@ def build_verbitsky(spec: ModelSpec) -> GradedAlgebraModel:
     top_int = matching_integral(quad.gram, _expand(top.mono[top.basis_monomials[0]]))
     if top_int == 0:
         raise ModelError("top-degree integral vanishes; gram is unusable")
-    integral_vec = np.array([top_int], dtype=object)
+    integral_vec = (top_int,)
 
     conj = []
     for d in range(0, 2 * n + 1):
         piece = pieces[d]
-        c = np.zeros((piece.dim, piece.dim), dtype=object)
+        c = [[0] * piece.dim for _ in range(piece.dim)]
         for t, cm in enumerate(piece.basis_monomials):
             exp = list(piece.mono[cm])
             exp[0], exp[1] = exp[1], exp[0]
             for r, x in piece.proj[idx[d][tuple(exp)]].items():
-                c[r, t] = x
-        conj.append(MatrixQ.from_array(c))
+                c[r][t] = x
+        conj.append(MatrixQ.from_rows(c, piece.dim))
 
     model = GradedAlgebraModel(
         kind="verbitsky",
@@ -744,9 +740,8 @@ def validate(model: GradedAlgebraModel) -> CheckReport:
         if (c @ c) != MatrixQ.identity(dims[d]):
             bad.append(("involution", 2 * d))
         for t, (p, q) in enumerate(model.bidegrees[d]):
-            col = c.array[:, t]
             for r in range(dims[d]):
-                if col[r] and model.bidegrees[d][r] != (q, p):
+                if c.array[r][t] and model.bidegrees[d][r] != (q, p):
                     bad.append(("bidegree_swap", 2 * d, t))
                     break
     rep.add("conj_involution", not bad, witnesses=bad[:5], seconds=time.perf_counter() - t0)
@@ -754,7 +749,7 @@ def validate(model: GradedAlgebraModel) -> CheckReport:
     t0 = time.perf_counter()
     bad = []
     # conj as sparse columns: conj_cols[d][t] is the image of basis vector t
-    conj_cols = [{t: _sparse(c.array[:, t]) for t in range(c.cols)} for c in model.conj]
+    conj_cols = [dict(enumerate(map(_sparse, zip(*c.array)))) for c in model.conj]
     for (da, db), t in mult.items():
         ca, cb, cc = conj_cols[da], conj_cols[db], conj_cols[da + db]
         if any(
@@ -763,13 +758,13 @@ def validate(model: GradedAlgebraModel) -> CheckReport:
             for j in range(dims[db])
         ):
             bad.append((2 * da, 2 * db))
-    c2 = model.conj[1].array
+    c2 = model.conj[1]
     cls = model.classes
-    if not np.array_equal(c2 @ cls.sigma, cls.sigma_bar):
+    if c2.apply(cls.sigma) != tuple(cls.sigma_bar):
         bad.append("conj(sigma) != sigma_bar")
-    if not np.array_equal(c2 @ cls.beta, cls.beta):
+    if c2.apply(cls.beta) != tuple(cls.beta):
         bad.append("conj(beta) != beta")
-    if not np.array_equal(c2 @ cls.omega, cls.omega):
+    if c2.apply(cls.omega) != tuple(cls.omega):
         bad.append("conj(omega) != omega")
     rep.add("conj_algebra_map", not bad, witnesses=bad[:5], seconds=time.perf_counter() - t0)
 

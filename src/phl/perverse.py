@@ -50,11 +50,11 @@ def _restrict_to_coords(s: Subspace, coords) -> Subspace:
     outside = [c for c in range(s.ambient_dim) if c not in keep]
     if not outside:
         return s
-    b = s.basis()
-    coeffs = kernel(MatrixQ.from_array(b.array[:, outside].T))  # (n_outside, dim)
+    # row c of the system is coordinate c of every basis row
+    coeffs = kernel(MatrixQ.from_rows([[row[c] for row in s.grid] for c in outside], s.dim))
     if coeffs.dim == 0:
         return Subspace.zero(s.ambient_dim)
-    return Subspace.span(coeffs.basis() @ b)
+    return Subspace.span(coeffs.basis() @ s.basis())
 
 
 @dataclass(frozen=True)

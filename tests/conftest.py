@@ -1,7 +1,6 @@
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from phl.linalg import MatrixQ
@@ -82,13 +81,13 @@ def random_invertible(rng: random.Random, n, lo=-3, hi=3):
 def jordan_nilpotent(parts):
     """Block-diagonal nilpotent matrix with the given Jordan block sizes."""
     n = sum(parts)
-    a = np.zeros((n, n), dtype=object)
+    a = [[0] * n for _ in range(n)]
     off = 0
     for p in parts:
         for r in range(p - 1):
-            a[off + r, off + r + 1] = 1
+            a[off + r][off + r + 1] = 1
         off += p
-    return MatrixQ.from_array(a)
+    return MatrixQ(a)
 
 
 def random_partition(rng: random.Random, total):

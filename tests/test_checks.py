@@ -204,7 +204,7 @@ def test_k3_antidiagonal_sums_match_commutator_weights(k3, k3_cube):
 
     lam = sl2_complete(k3.lefschetz_matrix(k3.classes.sigma_bar), hodge_q_grading(k3))
     comm = bracket(k3.lefschetz_matrix(k3.classes.beta), lam).array
-    blk = comm[1:23, 1:23]
+    blk = [row[1:23] for row in comm[1:23]]
     op = NilpotentOperator(blk)
     assert op.index == 1
     assert weight_filtration(op, 1).graded_dims == (2, 18, 2)

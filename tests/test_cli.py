@@ -1,11 +1,14 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
 from phl.cli import main, render_ascii, render_tex
 from phl.perverse import PerverseHodgeCube
 
+SRC_DIR = os.path.join(os.path.dirname(__file__), "..", "src")
 SPEC_DIR = os.path.join(os.path.dirname(__file__), "..", "specs")
 K3_SPEC = os.path.join(SPEC_DIR, "k3_b22.json")
 V25_SPEC = os.path.join(SPEC_DIR, "verbitsky_n2_b5.json")
@@ -266,3 +269,11 @@ def test_cmd_check_verbitsky_n3_exit_zero(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out.read_text())
     assert all(c["status"] == "pass" for c in doc["checks"])
+
+
+def test_import_does_not_load_numpy():
+    # phl needs only the standard library; a fresh process shows whether any
+    # phl module pulls numpy in
+    code = "import sys, phl, phl.cli, phl.lie; sys.exit('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=SRC_DIR)
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0

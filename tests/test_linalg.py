@@ -1,7 +1,7 @@
+import numbers
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from phl.linalg import (
@@ -162,10 +162,29 @@ def test_subspace_contains_dimension_guard():
         Subspace.full(3).contains([1, 2])
 
 
+class Count:
+    """An integer type that is not int, registered as numbers.Integral."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __int__(self):
+        return self.value
+
+
+numbers.Integral.register(Count)
+
+
 def test_subspace_contains_rejects_inexact_entries():
     for v in ([Fraction(1, 2), 0.5], [True, 1]):
         with pytest.raises(TypeError):
             Subspace.full(2).contains(v)
+    with pytest.raises(ValueError):
+        Subspace.full(2).contains(["x", 1])
+    # any other Integral converts through int()
+    line = span_of([[1, 2]])
+    assert line.contains([Count(3), Count(6)])
+    assert not line.contains([Count(3), Count(5)])
 
 
 def test_subspace_contains_matches_rank_oracle():
@@ -199,16 +218,18 @@ def test_inverse():
 def mixed_matrix(rng: random.Random, rows, cols):
     """Entries mixing int and Fraction, mostly zero, with one zero row and
     one zero column when the shape has any."""
-    a = np.zeros((rows, cols), dtype=object)
+    a = [[0] * cols for _ in range(rows)]
     for i in range(rows):
         for j in range(cols):
             if rng.random() < 0.5:
                 x = rng.randint(-5, 5)
-                a[i, j] = Fraction(x, rng.randint(1, 4)) if rng.random() < 0.5 else x
+                a[i][j] = Fraction(x, rng.randint(1, 4)) if rng.random() < 0.5 else x
     if rows and cols:
-        a[rng.randrange(rows), :] = 0
-        a[:, rng.randrange(cols)] = Fraction(0)
-    return MatrixQ.from_array(a)
+        a[rng.randrange(rows)] = [0] * cols
+        zero_col = rng.randrange(cols)
+        for row in a:
+            row[zero_col] = Fraction(0)
+    return MatrixQ.from_rows(a, cols)
 
 
 def loop_product(a: MatrixQ, b: MatrixQ):

@@ -1,7 +1,6 @@
 import json
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from phl.filtration import verify_weight_axioms
@@ -68,11 +67,11 @@ def test_k3_perverse_middle_degree(k3):
     assert chain[0] == coord_span(24, [beta_coord])
     # P_1 is the q-orthogonal of beta inside H^2
     gram = k3.quad.gram
-    constraints = np.zeros((1, 24), dtype=object)
+    constraints = [[0] * 24]
     for j in range(22):
-        constraints[0, 1 + j] = gram[2, j]
-    constraints[0, 0] = 1  # exclude H^0
-    perp = kernel(MatrixQ.from_array(constraints))
+        constraints[0][1 + j] = gram[2][j]
+    constraints[0][0] = 1  # exclude H^0
+    perp = kernel(MatrixQ(constraints))
     h2 = Subspace.coordinates(k3.total_dim, k3.block_indices(1))
     from phl.linalg import meet
 
