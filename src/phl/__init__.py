@@ -34,12 +34,10 @@ from .models import (
     validate,
 )
 from .perverse import (
-    FiltrationOnGraded,
     PerverseFiltration,
     PerverseHodgeCube,
     cube,
     diamond_and_betti,
-    hodge_filtration_via_sigma_bar,
     hodge_item1_comparison,
     perverse_filtration,
 )

@@ -8,6 +8,12 @@ the increasing chain
 for k = 0..2l.  It is the unique chain with N W_k ⊆ W_{k-2} whose k-th
 power induces isomorphisms Gr_{l+k} -> Gr_{l-k}; both properties are
 re-checked exactly by verify_weight_axioms.
+
+Operators are graded: N sends each piece V_d of V = V_0 ⊕ ... ⊕ V_(r-1)
+into V_(d+shift), and is stored as those blocks.  Its kernels and images
+are then direct sums over the pieces, and so is W_k, so the filtration is
+computed, held and checked one piece at a time in the local coordinates
+of each piece.  A square matrix is the one-piece case with shift 0.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ import time
 from dataclasses import dataclass
 
 from .linalg import (
+    DimensionMismatch,
     MatrixQ,
     Subspace,
     image,
@@ -41,84 +48,109 @@ class NotNilpotentError(ValueError):
 
 
 class NilpotentOperator:
-    """Square matrix validated to be nilpotent at construction."""
+    """Graded nilpotent operator, validated at construction.
 
-    __slots__ = ("matrix", "index", "_powers")
+    The space is V = V_0 ⊕ ... ⊕ V_(r-1) with dims[d] = dim V_d, and blocks[d]
+    is the matrix of N from V_d to V_(d+shift), for every d with
+    d + shift < r.  ``NilpotentOperator(m)`` for a square matrix m is the
+    one-piece case with shift 0.
+    """
 
-    def __init__(self, matrix: MatrixQ):
-        if not isinstance(matrix, MatrixQ):
-            matrix = MatrixQ(matrix)
-        if matrix.rows != matrix.cols:
-            raise ValueError("nilpotent operator must be square")
-        self.matrix = matrix
-        n = matrix.rows
-        powers = [MatrixQ.identity(n)]
-        index = None
-        for k in range(1, n + 2):
-            powers.append(powers[-1] @ matrix)
-            if powers[-1].is_zero():
-                index = k - 1
-                break
-        if index is None:
-            raise NotNilpotentError(
-                f"operator is not nilpotent: N^{n + 1} has rank {powers[-1].rank()} on a "
-                f"{n}-dimensional space"
-            )
-        self.index = index
-        self._powers = powers
+    __slots__ = ("dims", "shift", "blocks", "index", "_powers")
+
+    def __init__(self, blocks, dims=None, shift: int = 0):
+        if dims is None:
+            m = blocks if isinstance(blocks, MatrixQ) else MatrixQ(blocks)
+            if m.rows != m.cols:
+                raise ValueError("nilpotent operator must be square")
+            blocks, dims = [m], [m.rows]
+        self.dims, self.shift, self.blocks = tuple(dims), shift, tuple(blocks)
+        r = len(self.dims)
+        if len(self.blocks) != max(r - shift, 0) or any(
+            (b.rows, b.cols) != (self.dims[d + shift], self.dims[d]) for d, b in enumerate(self.blocks)
+        ):
+            raise DimensionMismatch("blocks do not match the piece dimensions")
+        # _powers[d][k] is N^k on V_d, up to the last nonzero power
+        self._powers = []
+        for d, n in enumerate(self.dims):
+            powers, e = [MatrixQ.identity(n)], d
+            while e + shift < r:
+                nxt = self.blocks[e] @ powers[-1]
+                if nxt.is_zero():
+                    break
+                if shift == 0 and len(powers) > n:
+                    raise NotNilpotentError(
+                        f"operator is not nilpotent: N^{n + 1} has rank {nxt.rank()} on a "
+                        f"{n}-dimensional space"
+                    )
+                powers.append(nxt)
+                e += shift
+            self._powers.append(powers)
+        self.index = max((len(p) - 1 for p in self._powers), default=0)
 
     @property
     def dim(self) -> int:
-        return self.matrix.rows
+        return sum(self.dims)
 
-    def power(self, k: int) -> MatrixQ:
-        """N^k (zero matrix for k past the vanishing power)."""
-        if k < len(self._powers):
-            return self._powers[k]
-        return MatrixQ.zeros(self.dim, self.dim)
+    def power(self, k: int, d: int = 0) -> MatrixQ:
+        """N^k on V_d as the matrix V_d -> V_(d + k*shift); past the last
+        nonzero power a zero matrix, with no rows past the top piece."""
+        powers = self._powers[d]
+        if k < len(powers):
+            return powers[k]
+        e = d + k * self.shift
+        return MatrixQ.zeros(self.dims[e] if e < len(self.dims) else 0, self.dims[d])
 
 
 @dataclass(frozen=True)
 class WeightFiltration:
-    """Centered weight filtration W_0 ⊆ ... ⊆ W_{2l} = V."""
+    """Centered weight filtration W_0 ⊆ ... ⊆ W_{2l} = V, held per piece:
+    chains[d][k] is W_k ∩ V_d in the local coordinates of V_d."""
 
     center: int
-    chain: tuple  # Subspace values, indices 0..2*center
-    graded_dims: tuple
+    chains: tuple  # per piece, Subspace values at indices 0..2*center
 
-    def step(self, k: int) -> Subspace:
-        """W_k with the conventions W_k = 0 for k < 0, = V for k >= 2l."""
+    def step(self, k: int, d: int = 0) -> Subspace:
+        """W_k ∩ V_d with the conventions W_k = 0 for k < 0, = V for k >= 2l."""
+        chain = self.chains[d]
         if k < 0:
-            return Subspace.zero(self.chain[0].ambient_dim)
-        if k >= len(self.chain):
-            return self.chain[-1]
-        return self.chain[k]
+            return Subspace.zero(chain[0].ambient_dim)
+        return chain[min(k, len(chain) - 1)]
+
+    @property
+    def graded_dims(self) -> tuple:
+        """dim Gr_k = dim W_k - dim W_(k-1) for k = 0..2l, over all pieces."""
+        dims = [sum(chain[k].dim for chain in self.chains) for k in range(2 * self.center + 1)]
+        return tuple(b - a for a, b in zip([0] + dims, dims))
 
 
 def weight_filtration(n: NilpotentOperator, l: int) -> WeightFiltration:
-    """Deligne weight filtration of n centered at its nilpotency index."""
+    """Deligne weight filtration of n centered at its nilpotency index.
+
+    N is homogeneous, so its kernels and images are direct sums over the
+    pieces and W_k ∩ V_d comes from the kernels of N^(i+1) on V_d and the
+    images of N^j landing in V_d alone.
+    """
     if l != n.index:
         raise ValueError(f"center {l} does not match nilpotency index {n.index}")
-    dim = n.dim
-    kernels = {i: kernel(n.power(i)) for i in range(1, l + 2)}
-    images = {j: image(n.power(j)) for j in range(0, l + 1)}
-    chain = []
-    for k in range(0, 2 * l + 1):
-        wk = Subspace.zero(dim)
-        for i in range(0, l + 1):
-            j = k - l - i
-            if j > 0 or -j > l:
-                continue
-            wk = join(wk, meet(kernels[i + 1], images[-j]))
-        chain.append(wk)
-    dims = [chain[0].dim] + [chain[k].dim - chain[k - 1].dim for k in range(1, len(chain))]
-    return WeightFiltration(center=l, chain=tuple(chain), graded_dims=tuple(dims))
-
-
-def _graded_image_dim(n_op, k, upper, lower_prev):
-    """dim of the image of N^k(W_upper) in the quotient by W_{lower-1}."""
-    img = map_subspace(n_op.power(k), upper)
-    return join(img, lower_prev).dim - lower_prev.dim
+    chains = []
+    for d, dim in enumerate(n.dims):
+        kernels = {i: kernel(n.power(i, d)) for i in range(1, l + 2)}
+        images = {
+            j: image(n.power(j, d - j * n.shift)) if d >= j * n.shift else Subspace.zero(dim)
+            for j in range(0, l + 1)
+        }
+        chain = []
+        for k in range(0, 2 * l + 1):
+            wk = Subspace.zero(dim)
+            for i in range(0, l + 1):
+                j = k - l - i
+                if j > 0 or -j > l:
+                    continue
+                wk = join(wk, meet(kernels[i + 1], images[-j]))
+            chain.append(wk)
+        chains.append(tuple(chain))
+    return WeightFiltration(center=l, chains=tuple(chains))
 
 
 def verify_weight_axioms(n: NilpotentOperator, w: WeightFiltration) -> CheckReport:
@@ -126,16 +158,24 @@ def verify_weight_axioms(n: NilpotentOperator, w: WeightFiltration) -> CheckRepo
 
     (a) N W_k ⊆ W_{k-2}; (b) N^k induces Gr_{l+k} ≅ Gr_{l-k}, checked by
     dimension counts of images in quotients.  The chain itself (monotone,
-    top step full) is checked first.
+    top step full) is checked first.  N and the steps are homogeneous, so
+    each property is checked block by block: (a) from V_d into V_(d+shift),
+    and the ranks in (b) are summed over the pieces.  A witness is the k
+    of the whole space.
     """
+    pieces = tuple(chain[0].ambient_dim for chain in w.chains)
+    if pieces != n.dims:
+        raise DimensionMismatch(f"filtration pieces {pieces} != operator pieces {n.dims}")
     report = CheckReport()
     l = w.center
+    r = len(n.dims)
     t0 = time.perf_counter()
-    bad_chain = []
-    for k in range(1, 2 * l + 1):
-        if not w.chain[k].contains_subspace(w.chain[k - 1]):
-            bad_chain.append(k)
-    if w.chain[-1].dim != n.dim:
+    bad_chain = [
+        k
+        for k in range(1, 2 * l + 1)
+        if not all(chain[k].contains_subspace(chain[k - 1]) for chain in w.chains)
+    ]
+    if any(chain[-1].dim != dim for chain, dim in zip(w.chains, n.dims)):
         bad_chain.append("top")
     report.add(
         "weight_chain_monotone",
@@ -145,11 +185,14 @@ def verify_weight_axioms(n: NilpotentOperator, w: WeightFiltration) -> CheckRepo
     )
 
     t0 = time.perf_counter()
-    bad_shift = []
-    for k in range(0, 2 * l + 1):
-        img = map_subspace(n.matrix, w.step(k))
-        if not w.step(k - 2).contains_subspace(img):
-            bad_shift.append(k)
+    bad_shift = [
+        k
+        for k in range(0, 2 * l + 1)
+        if not all(
+            w.step(k - 2, d + n.shift).contains_subspace(map_subspace(block, w.step(k, d)))
+            for d, block in enumerate(n.blocks)
+        )
+    ]
     report.add(
         "weight_axiom_shift",
         not bad_shift,
@@ -159,15 +202,21 @@ def verify_weight_axioms(n: NilpotentOperator, w: WeightFiltration) -> CheckRepo
 
     t0 = time.perf_counter()
     bad_iso = []
+    graded = w.graded_dims
     for k in range(0, l + 1):
-        up, up_prev = w.step(l + k), w.step(l + k - 1)
-        lo, lo_prev = w.step(l - k), w.step(l - k - 1)
-        target = up.dim - up_prev.dim
-        if target != lo.dim - lo_prev.dim:
+        target = graded[l + k]
+        if target != graded[l - k]:
             bad_iso.append((k, "graded dims differ"))
             continue
-        # rank of the induced map Gr_{l+k} -> Gr_{l-k}
-        rank = _graded_image_dim(n, k, up, join(map_subspace(n.power(k), up_prev), lo_prev))
+        # rank of the induced map Gr_{l+k} -> Gr_{l-k}, from V_d to V_e
+        rank = 0
+        for d in range(r):
+            e = d + k * n.shift
+            if e >= r:
+                continue
+            nk = n.power(k, d)
+            below = join(map_subspace(nk, w.step(l + k - 1, d)), w.step(l - k - 1, e))
+            rank += join(map_subspace(nk, w.step(l + k, d)), below).dim - below.dim
         if rank != target:
             bad_iso.append((k, f"induced rank {rank} != {target}"))
     report.add(
@@ -184,7 +233,7 @@ def jordan_partition(n: NilpotentOperator):
 
     The count of blocks of size >= s is rank(N^(s-1)) - rank(N^s).
     """
-    ranks = [n.power(k).rank() for k in range(0, n.index + 2)]
+    ranks = [sum(n.power(k, d).rank() for d in range(len(n.dims))) for k in range(0, n.index + 2)]
     parts = []
     for s in range(1, n.index + 2):
         at_least_s = ranks[s - 1] - ranks[s]

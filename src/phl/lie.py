@@ -86,10 +86,6 @@ def pq_difference_grading(model) -> GradingOperator:
     return GradingOperator("Hpq_difference", model.pq_difference_diag())
 
 
-def _as_matrix(op) -> MatrixQ:
-    return op.matrix if isinstance(op, NilpotentOperator) else _matrix(op)
-
-
 def _sparse(m: MatrixQ) -> dict:
     """Nonzero entries of a matrix as {i*D + j: entry}, row-major, D = m.cols."""
     D = m.cols
@@ -113,7 +109,7 @@ def sl2_complete(L, H: GradingOperator) -> MatrixQ:
     grading -k, builds the primitive strings in local coordinates, inverts
     the string matrix of each grading and forms Λ block by block.
     """
-    A = _as_matrix(L)
+    A = _matrix(L)
     lam = H.diag
     D = A.rows
     if A.cols != D or len(lam) != D:
@@ -209,7 +205,7 @@ def sl2_complete(L, H: GradingOperator) -> MatrixQ:
 
 def _integer_entries(x) -> dict:
     """Nonzero entries of an operator as a primitive integer dict {i*D + j: entry}."""
-    return _integer_row(e for row in _as_matrix(x).array for e in row)
+    return _integer_row(e for row in _matrix(x).array for e in row)
 
 
 def _indexed(v: dict, D: int):
@@ -237,7 +233,7 @@ def _bracket(a: dict, b_rows: dict, b_cols: dict, D: int) -> dict:
 
 
 def bracket(a, b) -> MatrixQ:
-    aa, bb = _as_matrix(a), _as_matrix(b)
+    aa, bb = _matrix(a), _matrix(b)
     D = aa.rows
     if (aa.cols, bb.rows, bb.cols) != (D, D, D):
         raise DimensionMismatch("bracket of operators of different sizes")
@@ -269,7 +265,7 @@ def lie_closure(generators) -> LieSubalgebra:
     identity that already saturates the generated subalgebra.  Terminates
     since the dimension is bounded by (ambient dim)^2.
     """
-    mats = [_as_matrix(g) for g in generators]
+    mats = [_matrix(g) for g in generators]
     if not mats:
         raise ValueError("empty generator list")
     D = mats[0].rows
@@ -291,7 +287,7 @@ def lie_closure(generators) -> LieSubalgebra:
 
 def membership(algebra: LieSubalgebra, x) -> bool:
     """Exact test that x lies in the span of the algebra basis."""
-    a = _as_matrix(x)
+    a = _matrix(x)
     if (a.rows, a.cols) != (algebra.op_dim, algebra.op_dim):
         raise DimensionMismatch(
             f"operator is {(a.rows, a.cols)}, algebra acts on {algebra.op_dim}x{algebra.op_dim}"

@@ -236,9 +236,6 @@ class MatrixQ:
             self._grid = tuple(tuple(_frac(x) for x in row) for row in self._a)
         return self._grid
 
-    def entry(self, i: int, j: int) -> Fraction:
-        return _frac(self._a[i][j])
-
     def transpose(self) -> "MatrixQ":
         return MatrixQ.from_rows(_transpose(self._a, self.cols), self.rows)
 
@@ -248,17 +245,6 @@ class MatrixQ:
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.cols} != {other.rows}")
         return MatrixQ.from_rows(_dot(self._a, other._a, other.cols), other.cols)
-
-    def __sub__(self, other: "MatrixQ") -> "MatrixQ":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch(f"{self!r} - {other!r}")
-        return MatrixQ.from_rows(
-            [[x - y for x, y in zip(r, s)] for r, s in zip(self._a, other._a)], self.cols
-        )
-
-    def scale(self, c) -> "MatrixQ":
-        c = _frac(c)
-        return MatrixQ.from_rows([[x * c for x in row] for row in self._a], self.cols)
 
     def power(self, k: int) -> "MatrixQ":
         if self.rows != self.cols:

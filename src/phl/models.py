@@ -22,7 +22,13 @@ The structure constants are stored sparse: ``mult[(a, b)]`` maps a pair
 (i, j) of basis indices of pieces a and b to the product e_i * e_j as
 {k: value} over the basis of piece a+b, and holds only the nonzero
 constants.  One product over the nonzeros (``_product``) serves ``cup``,
-``lefschetz_matrix`` and every check in ``validate``.
+the Lefschetz blocks and every check in ``validate``.
+
+Cup product with a degree-2 class raises the degree by exactly 2, so
+``lefschetz`` hands its blocks H^{2d} -> H^{2d+2} to ``NilpotentOperator``
+and the filtrations are computed one piece at a time;
+``lefschetz_matrix`` assembles the same blocks into one D x D matrix for
+the sl2 and Lie layer and the commutator checks.
 """
 
 from __future__ import annotations
@@ -355,23 +361,6 @@ class GradedAlgebraModel:
         for d in range(self.pieces):
             self.offsets.append(self.offsets[-1] + dims[d])
         self.total_dim = self.offsets[-1]
-        self._bidegree_coords = None
-
-    # -- indexing helpers ---------------------------------------------------
-
-    def block_indices(self, d: int):
-        return range(self.offsets[d], self.offsets[d + 1])
-
-    def bidegree_coords(self, d: int, p: int):
-        """Global coordinates of the (p, 2d-p) part of piece d."""
-        if self._bidegree_coords is None:
-            table = {}
-            for dd in range(self.pieces):
-                off = self.offsets[dd]
-                for i, (pp, qq) in enumerate(self.bidegrees[dd]):
-                    table.setdefault((dd, pp), []).append(off + i)
-            self._bidegree_coords = table
-        return self._bidegree_coords.get((d, p), [])
 
     # -- algebra operations ---------------------------------------------------
 
@@ -391,16 +380,28 @@ class GradedAlgebraModel:
     def q(self, x, y) -> Fraction:
         return self.quad.pair(x, y)
 
-    def lefschetz_matrix(self, x) -> MatrixQ:
-        """Global cup-product-with-x operator for a degree-2 class x."""
+    def _lefschetz_blocks(self, x) -> list:
+        """Cup product with a degree-2 class x, as its blocks H^{2d} -> H^{2d+2}."""
         xs = _sparse(x)
-        D = self.total_dim
-        out = [[0] * D for _ in range(D)]
+        out = []
         for d in range(self.pieces - 1):
-            t, rows, cols = self.mult[(1, d)], self.offsets[d + 1], self.offsets[d]
+            t = self.mult[(1, d)]
+            rows = [[0] * self.dims[d] for _ in range(self.dims[d + 1])]
             for j in range(self.dims[d]):
                 for k, y in _product(t, xs, {j: 1}).items():
-                    out[rows + k][cols + j] = y
+                    rows[k][j] = y
+            out.append(MatrixQ.from_rows(rows, self.dims[d]))
+        return out
+
+    def lefschetz_matrix(self, x) -> MatrixQ:
+        """Cup product with a degree-2 class x as one D x D matrix, its
+        blocks H^{2d} -> H^{2d+2} placed below the diagonal."""
+        D = self.total_dim
+        out = [[0] * D for _ in range(D)]
+        for d, block in enumerate(self._lefschetz_blocks(x)):
+            cols = slice(self.offsets[d], self.offsets[d + 1])
+            for r, row in enumerate(block.array):
+                out[self.offsets[d + 1] + r][cols] = row
         return MatrixQ.from_rows(out, D)
 
     # -- gradings -------------------------------------------------------------
@@ -443,8 +444,9 @@ class GradedAlgebraModel:
 
 
 def lefschetz(model: GradedAlgebraModel, x) -> NilpotentOperator:
-    """Cup product with a degree-2 class as a validated nilpotent operator."""
-    return NilpotentOperator(model.lefschetz_matrix(x))
+    """Cup product with a degree-2 class as a validated nilpotent operator,
+    held as its blocks H^{2d} -> H^{2d+2}."""
+    return NilpotentOperator(model._lefschetz_blocks(x), model.dims, shift=1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,33 +1,37 @@
 """Hodge and perverse filtrations of a model, and the 3D table h^{i,k,d}.
 
-Both filtrations are renumbered views of centered weight filtrations:
+Both filtrations are renumbered views of centered weight filtrations of
+cup products with degree-2 classes.  A cup product raises the degree by
+exactly 2, so both are computed one degree piece H^{2d} at a time and
+held in the local coordinates of each piece:
 
 * the Hodge side comes from cup product with the anti-symplectic class
   sigma-bar, and must reproduce the bigrading formula
-  W_k = (+) over q >= 2n-k of H^{p,q} -- this is re-checked exactly;
+  W_k ∩ H^{2d} = (+) over q >= 2n-k of H^{p,q} -- this is re-checked
+  exactly;
 
 * the perverse side comes from cup product with the isotropic (1,1)
-  class beta, renumbered per cohomological degree m as
-  P_j H^m = W_{j-m+2n} ∩ H^m.
+  class beta, renumbered per degree as P_j H^{2d} = W_{j-2d+2n} ∩ H^{2d}.
 
 The cube entry h^{i,k,d} is the dimension jump of P_{d+k} inside the
-(d+i, d-i) bigraded part of H^{2d}.
+(d+i, d-i) bigraded part of H^{2d}.  A subspace is bigraded exactly when
+each of its canonical RREF rows has a single bidegree, so for a bigraded
+step that dimension is the number of its pivots with Hodge index d+i.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 from .filtration import NilpotentOperator, WeightFiltration, weight_filtration
-from .linalg import MatrixQ, Subspace, kernel
+from .linalg import Subspace
 from .models import GradedAlgebraModel, ModelError, lefschetz
 
 __all__ = [
-    "FiltrationOnGraded",
     "PerverseFiltration",
     "PerverseHodgeCube",
-    "hodge_filtration_via_sigma_bar",
     "hodge_item1_comparison",
     "perverse_filtration",
     "cube",
@@ -38,79 +42,17 @@ __all__ = [
 CUBE_MAX_N = 16
 
 
-def _restrict_to_coords(s: Subspace, coords) -> Subspace:
-    """Intersection of s with the span of the given coordinate axes.
-
-    Solves for combinations of the basis rows vanishing outside `coords`;
-    equivalent to meet() with a coordinate span but much cheaper.
-    """
-    if s.dim == 0:
-        return s
-    keep = set(coords)
-    outside = [c for c in range(s.ambient_dim) if c not in keep]
-    if not outside:
-        return s
-    # row c of the system is coordinate c of every basis row
-    coeffs = kernel(MatrixQ.from_rows([[row[c] for row in s.grid] for c in outside], s.dim))
-    if coeffs.dim == 0:
-        return Subspace.zero(s.ambient_dim)
-    return Subspace.span(coeffs.basis() @ s.basis())
-
-
-@dataclass(frozen=True)
-class FiltrationOnGraded:
-    """Per cohomological degree m: an increasing chain of subspaces of the
-    total space supported on the degree-m piece, with its index range."""
-
-    steps: dict  # m -> {index: Subspace}
-    ranges: dict  # m -> (lo, hi)
-
-    def step(self, m: int, j: int) -> Subspace:
-        lo, hi = self.ranges[m]
-        chain = self.steps[m]
-        if j < lo:
-            return Subspace.zero(chain[lo].ambient_dim)
-        if j > hi:
-            return chain[hi]
-        return chain[j]
-
-    def graded_dims(self, m: int):
-        lo, hi = self.ranges[m]
-        out = []
-        prev = 0
-        for j in range(lo, hi + 1):
-            d = self.steps[m][j].dim
-            out.append(d - prev)
-            prev = d
-        return out
-
-
 @dataclass(frozen=True)
 class PerverseFiltration:
-    """Renumbered perverse chains plus the underlying weight filtration."""
+    """Perverse chains P_j H^{2d} = W_{j-2d+2n} ∩ H^{2d}, read off the weight
+    filtration of L_beta."""
 
-    graded: FiltrationOnGraded
     weight: WeightFiltration
     operator: NilpotentOperator
 
-
-def _degree_chain(model, wf: WeightFiltration, renumber) -> FiltrationOnGraded:
-    steps, ranges = {}, {}
-    for d in range(model.pieces):
-        m = 2 * d
-        block = list(model.block_indices(d))
-        lo, hi = renumber(m)
-        chain = {}
-        cache = {}
-        for j in range(lo, hi + 1):
-            k = j - lo
-            wk = wf.step(k)
-            if wk.dim not in cache:
-                cache[wk.dim] = _restrict_to_coords(wk, block)
-            chain[j] = cache[wk.dim]
-        steps[m] = chain
-        ranges[m] = (lo, hi)
-    return FiltrationOnGraded(steps=steps, ranges=ranges)
+    def step(self, d: int, j: int) -> Subspace:
+        """P_j H^{2d} in the local coordinates of piece d."""
+        return self.weight.step(j - 2 * d + 2 * self.weight.center, d)
 
 
 def hodge_item1_comparison(model: GradedAlgebraModel):
@@ -125,47 +67,26 @@ def hodge_item1_comparison(model: GradedAlgebraModel):
     if op.index != n:
         return None, [("index", op.index, n)]
     wf = weight_filtration(op, n)
-    filt = _degree_chain(model, wf, lambda m: (0, 2 * n))
     mismatches = []
     split_dims = dict.fromkeys(range(0, 2 * n + 1), 0)
     for d in range(model.pieces):
-        m = 2 * d
         for k in range(0, 2 * n + 1):
-            expected_coords = [
-                c
-                for p in range(0, m + 1)
-                for c in model.bidegree_coords(d, p)
-                if m - p >= 2 * n - k
-            ]
-            expected = Subspace.coordinates(model.total_dim, expected_coords)
-            if filt.steps[m][k] != expected:
-                mismatches.append((m, k))
+            expected = Subspace.coordinates(
+                model.dims[d], [c for c, (_, q) in enumerate(model.bidegrees[d]) if q >= 2 * n - k]
+            )
+            if wf.step(k, d) != expected:
+                mismatches.append((2 * d, k))
             split_dims[k] += expected.dim
-    # W_k must not exceed the sum of its degree pieces, or it would not be
-    # the direct sum the bigrading formula asserts
+    # the dimension of W_k, summed over the pieces, against the bigrading count
     for k in range(0, 2 * n + 1):
-        if wf.step(k).dim != split_dims[k]:
-            mismatches.append(("total", k, wf.step(k).dim, split_dims[k]))
-    return filt, mismatches
-
-
-def hodge_filtration_via_sigma_bar(model: GradedAlgebraModel) -> FiltrationOnGraded:
-    """Hodge-side filtration; any deviation from the bigrading formula is a
-    model inconsistency and raises."""
-    filt, mismatches = hodge_item1_comparison(model)
-    if filt is None:
-        raise ModelError(
-            f"nilpotency index of L_sigma_bar is {mismatches[0][1]}, expected n = {model.n}"
-        )
-    if mismatches:
-        raise ModelError(
-            f"weight filtration of L_sigma_bar deviates from the bigrading at {mismatches[:4]}"
-        )
-    return filt
+        total = sum(wf.step(k, d).dim for d in range(model.pieces))
+        if total != split_dims[k]:
+            mismatches.append(("total", k, total, split_dims[k]))
+    return wf, mismatches
 
 
 def perverse_filtration(model: GradedAlgebraModel) -> PerverseFiltration:
-    """Perverse chains P_j H^m = W^beta_{j-m+2n} ∩ H^m."""
+    """Perverse chains P_j H^{2d} = W^beta_{j-2d+2n} ∩ H^{2d}."""
     n = model.n
     op = lefschetz(model, model.classes.beta)
     if op.index != n:
@@ -173,9 +94,7 @@ def perverse_filtration(model: GradedAlgebraModel) -> PerverseFiltration:
             f"nilpotency index of L_beta is {op.index}, expected n = {n}; "
             "beta does not behave as a nonzero isotropic (1,1) class"
         )
-    wf = weight_filtration(op, n)
-    filt = _degree_chain(model, wf, lambda m: (m - 2 * n, m))
-    return PerverseFiltration(graded=filt, weight=wf, operator=op)
+    return PerverseFiltration(weight=weight_filtration(op, n), operator=op)
 
 
 @dataclass(frozen=True)
@@ -234,46 +153,36 @@ class PerverseHodgeCube:
         return cls(n=n, entries=entries)
 
 
-def cube(model: GradedAlgebraModel, perv: PerverseFiltration | None = None, check: bool = True) -> PerverseHodgeCube:
+def cube(model: GradedAlgebraModel, perv: PerverseFiltration | None = None) -> PerverseHodgeCube:
     """Assemble h^{i,k,d} = dim jump of P_{d+k} in the (d+i, d-i) part.
 
-    With check=True the bookkeeping identities are re-verified: every
-    chain step bigraded, row sums equal to perverse graded dimensions,
-    and the grand total equal to the model dimension.
+    Every chain step must be bigraded.  Its canonical RREF rows then each
+    have one bidegree, so its (p, 2d-p) part has dimension the number of
+    its pivots with Hodge index p.  No entry may be negative, and the
+    grand total must equal the model dimension.
     """
     n = model.n
     if perv is None:
         perv = perverse_filtration(model)
     entries = {}
-    hodge_p = [p for d in range(model.pieces) for p, _ in model.bidegrees[d]]
     for d in range(model.pieces):
         m = 2 * d
-        lo, hi = perv.graded.ranges[m]
-        ps = [p for p in range(max(0, m - 2 * n), min(m, 2 * n) + 1) if model.bidegree_coords(d, p)]
-        prev_dims = {p: 0 for p in ps}
-        for j in range(lo, hi + 1):
-            step = perv.graded.steps[m][j]
-            # the step lies in piece d, where the Hodge index p fixes the bidegree
-            if check and not step.is_graded(hodge_p):
+        hodge_p = [p for p, _ in model.bidegrees[d]]
+        prev = Counter()
+        for j in range(m - 2 * n, m + 1):
+            step = perv.step(d, j)
+            if not step.is_graded(hodge_p):
                 raise ModelError(f"filtration step is not bigraded at {(m, j)}")
-            row_total = 0
-            for p in ps:
-                cut = _restrict_to_coords(step, model.bidegree_coords(d, p))
-                h = cut.dim - prev_dims[p]
-                prev_dims[p] = cut.dim
+            counts = Counter(hodge_p[c] for c in step.pivots)
+            for p in sorted(set(hodge_p)):
+                h = counts[p] - prev[p]
                 if h < 0:
                     raise ModelError(f"negative cube entry at degree {m}, step {j}, p = {p}")
-                row_total += h
                 if h:
                     entries[(p - d, j - d, d)] = h
-            if check:
-                graded = perv.graded.graded_dims(m)[j - lo]
-                if row_total != graded:
-                    raise ModelError(
-                        f"bigraded slices of Gr_{j} H^{m} sum to {row_total}, expected {graded}"
-                    )
+            prev = counts
     out = PerverseHodgeCube(n=n, entries=entries)
-    if check and out.total() != model.total_dim:
+    if out.total() != model.total_dim:
         raise ModelError(f"cube total {out.total()} != model dimension {model.total_dim}")
     return out
 

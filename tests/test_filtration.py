@@ -11,7 +11,8 @@ from phl.filtration import (
     verify_weight_axioms,
     weight_filtration,
 )
-from phl.linalg import MatrixQ, Subspace, image, join
+from phl.linalg import DimensionMismatch, MatrixQ, Subspace, image, join
+from phl.models import lefschetz
 
 from conftest import (
     jordan_nilpotent,
@@ -62,8 +63,8 @@ def test_center_mismatch_rejected():
 def test_weight_filtration_zero_operator():
     op = NilpotentOperator(MatrixQ.zeros(2, 2))
     w = weight_filtration(op, 0)
-    assert len(w.chain) == 1
-    assert w.chain[0] == Subspace.full(2)
+    assert len(w.chains[0]) == 1
+    assert w.step(0) == Subspace.full(2)
     assert w.graded_dims == (2,)
 
 
@@ -71,9 +72,9 @@ def test_weight_filtration_j2():
     op = NilpotentOperator(jordan_nilpotent([2]))
     w = weight_filtration(op, 1)
     assert w.graded_dims == (1, 0, 1)
-    assert w.chain[0] == image(op.matrix)
-    assert w.chain[1] == w.chain[0]
-    assert w.chain[2] == Subspace.full(2)
+    assert w.step(0) == image(op.power(1))
+    assert w.step(1) == w.step(0)
+    assert w.step(2) == Subspace.full(2)
     # N W_2 inside W_0
     rep = verify_weight_axioms(op, w)
     assert rep.all_pass
@@ -95,11 +96,22 @@ def test_corrupted_chain_fails_shift_axiom():
     w = weight_filtration(op, 1)
     # swap W_0 for a line not sent into 0 by N
     bad_line = Subspace.span([[0, 1, 0]])
-    corrupted = WeightFiltration(
-        center=1, chain=(bad_line, w.chain[1], w.chain[2]), graded_dims=w.graded_dims
-    )
+    corrupted = WeightFiltration(center=1, chains=((bad_line, w.step(1), w.step(2)),))
     rep = verify_weight_axioms(op, corrupted)
     assert not rep["weight_axiom_shift"].passed
+
+
+def test_k3_corruption_fails_shift_axiom_at_its_k(k3):
+    # W_1 ∩ H^2 is beta's orthogonal; all of H^2 still makes a chain, but
+    # L_beta sends it onto H^4, outside W_{-1} = 0
+    op = lefschetz(k3, k3.classes.beta)
+    w = weight_filtration(op, 1)
+    h2 = (w.step(0, 1), Subspace.full(22), w.step(2, 1))
+    corrupted = WeightFiltration(center=1, chains=(w.chains[0], h2, w.chains[2]))
+    rep = verify_weight_axioms(op, corrupted)
+    assert rep["weight_chain_monotone"].passed
+    assert not rep["weight_axiom_shift"].passed
+    assert rep["weight_axiom_shift"].witnesses == [1]
 
 
 def test_palindromic_graded_dims():
@@ -135,18 +147,54 @@ def test_uniqueness_by_perturbation_small_dims():
         pool = [s for s in pool if s.dim == 1]
         for k in range(2 * l):  # the top step W_{2l} = V is forced
             for line in pool:
-                cand = join(w.chain[k], line)
-                if cand == w.chain[k]:
+                cand = join(w.step(k), line)
+                if cand == w.step(k):
                     continue
-                chain = list(w.chain)
+                chain = list(w.chains[0])
                 chain[k] = cand
                 if any(not chain[i + 1].contains_subspace(chain[i]) for i in range(2 * l)):
                     continue  # not even a chain
-                dims = [chain[0].dim] + [
-                    chain[i].dim - chain[i - 1].dim for i in range(1, 2 * l + 1)
-                ]
-                perturbed = WeightFiltration(center=l, chain=tuple(chain), graded_dims=tuple(dims))
+                perturbed = WeightFiltration(center=l, chains=(tuple(chain),))
                 assert not verify_weight_axioms(op, perturbed).all_pass
+
+
+def test_filtration_of_other_pieces_rejected(k3):
+    # a filtration of the assembled matrix has one piece, L_beta has three
+    op = lefschetz(k3, k3.classes.beta)
+    w = weight_filtration(NilpotentOperator(k3.lefschetz_matrix(k3.classes.beta)), 1)
+    with pytest.raises(DimensionMismatch, match="pieces"):
+        verify_weight_axioms(op, w)
+
+
+@pytest.mark.parametrize("name", ["k3", "verb_n2_b5"])
+def test_graded_uniqueness_by_perturbation(request, name):
+    # L_beta of a model: any chain differing from the computed one in one
+    # step of one piece fails an axiom
+    m = request.getfixturevalue(name)
+    op = lefschetz(m, m.classes.beta)
+    l = op.index
+    w = weight_filtration(op, l)
+    assert verify_weight_axioms(op, w).all_pass
+    rng = random.Random(43)
+    perturbed_count = 0
+    for d, dim in enumerate(op.dims):
+        pool = [Subspace.span([[Fraction(rng.randint(-2, 2)) for _ in range(dim)]]) for _ in range(4)]
+        pool = [s for s in pool if s.dim == 1]
+        for k in range(2 * l):  # the top step W_{2l} = V is forced
+            for line in pool:
+                cand = join(w.step(k, d), line)
+                if cand == w.step(k, d):
+                    continue
+                chain = list(w.chains[d])
+                chain[k] = cand
+                if any(not chain[i + 1].contains_subspace(chain[i]) for i in range(2 * l)):
+                    continue  # not even a chain
+                chains = list(w.chains)
+                chains[d] = tuple(chain)
+                perturbed = WeightFiltration(center=l, chains=tuple(chains))
+                assert not verify_weight_axioms(op, perturbed).all_pass, (d, k)
+                perturbed_count += 1
+    assert perturbed_count
 
 
 def test_jordan_partition_zero_operator():

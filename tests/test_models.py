@@ -161,7 +161,7 @@ CORRUPTIONS = [
         [0, 2, 4, 6, 8],
     ),
     ("mult_bigraded", lambda m: _bump(m.mult[(1, 1)], 2, 2, 0), [(2, 2, 2, 2, 0)]),
-    ("conj_involution", lambda m: m.conj.__setitem__(1, m.conj[1].scale(2)), [("involution", 2)]),
+    ("conj_involution", lambda m: m.conj.__setitem__(1, MatrixQ([[2 * x for x in row] for row in m.conj[1].array])), [("involution", 2)]),
     ("conj_algebra_map", lambda m: _negate_conj_entry(m, 1, 4), [(2, 2), (2, 4), (2, 6), (4, 2), (6, 2)]),
     (
         "verbitsky_kernel_ideal",

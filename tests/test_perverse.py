@@ -3,13 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from phl.filtration import verify_weight_axioms
-from phl.linalg import MatrixQ, Subspace, kernel
+from phl.filtration import NilpotentOperator, jordan_partition, verify_weight_axioms, weight_filtration
+from phl.linalg import MatrixQ, Subspace, kernel, meet
+from phl.models import lefschetz
 from phl.perverse import (
     PerverseHodgeCube,
     cube,
     diamond_and_betti,
-    hodge_filtration_via_sigma_bar,
     hodge_item1_comparison,
     perverse_filtration,
 )
@@ -24,30 +24,29 @@ K3_GOLDEN = {
     (0, 0, 1): 18,
 }
 
+SHIPPED = ["k3_b22", "verbitsky_n2_b5", "verbitsky_n2_b7", "verbitsky_n3_b5"]
 
-def coord_span(total, coords):
-    rows = []
-    for c in coords:
-        row = [Fraction(0)] * total
-        row[c] = Fraction(1)
-        rows.append(row)
-    return Subspace.span(rows, ambient_dim=total)
+
+def perverse_graded_dims(perv, n, d):
+    """dim Gr_j H^{2d} of the perverse filtration for j = 2d-2n..2d."""
+    return [perv.step(d, j).dim - perv.step(d, j - 1).dim for j in range(2 * d - 2 * n, 2 * d + 1)]
 
 
 def test_k3_hodge_w0_is_sigma_bar_and_point(k3):
-    filt = hodge_filtration_via_sigma_bar(k3)
-    # W_0 lives in q >= 2: sigma_bar (coordinate 1+1) and the point class
-    sigma_bar_coord = 1 + k3.quad.sigma_bar_index
-    w0_total = Subspace.span(
-        [row for m in (0, 2, 4) for row in filt.steps[m][0].grid],
-        ambient_dim=k3.total_dim,
-    )
-    assert w0_total == coord_span(24, [sigma_bar_coord, 23])
+    filt, mismatches = hodge_item1_comparison(k3)
+    assert mismatches == []
+    # W_0 lives in q >= 2: sigma_bar in H^2 and the point class in H^4
+    assert [filt.step(0, d) for d in range(3)] == [
+        Subspace.zero(1),
+        Subspace.coordinates(22, [k3.quad.sigma_bar_index]),
+        Subspace.full(1),
+    ]
 
 
 def test_k3_hodge_top_step_is_degree_piece(k3):
-    filt = hodge_filtration_via_sigma_bar(k3)
-    assert filt.steps[2][2] == Subspace.coordinates(k3.total_dim, k3.block_indices(1))
+    filt, mismatches = hodge_item1_comparison(k3)
+    assert mismatches == []
+    assert filt.step(2, 1) == Subspace.full(22)
 
 
 def test_verbitsky_hodge_graded_dims_match_bidegree_counts(verb_n2_b5):
@@ -57,44 +56,55 @@ def test_verbitsky_hodge_graded_dims_match_bidegree_counts(verb_n2_b5):
     for d in range(m.pieces):
         for k in range(0, 2 * m.n + 1):
             expect = sum(1 for (p, q) in m.bidegrees[d] if q >= 2 * m.n - k)
-            assert filt.steps[2 * d][k].dim == expect
+            assert filt.step(k, d).dim == expect
 
 
 def test_k3_perverse_middle_degree(k3):
     perv = perverse_filtration(k3)
-    chain = perv.graded.steps[2]
-    beta_coord = 1 + 2  # beta is the third degree-2 basis vector
-    assert chain[0] == coord_span(24, [beta_coord])
+    beta = 2  # beta is the third degree-2 basis vector
+    assert perv.step(1, 0) == Subspace.coordinates(22, [beta])
     # P_1 is the q-orthogonal of beta inside H^2
-    gram = k3.quad.gram
-    constraints = [[0] * 24]
-    for j in range(22):
-        constraints[0][1 + j] = gram[2][j]
-    constraints[0][0] = 1  # exclude H^0
-    perp = kernel(MatrixQ(constraints))
-    h2 = Subspace.coordinates(k3.total_dim, k3.block_indices(1))
-    from phl.linalg import meet
-
-    assert chain[1] == meet(perp, h2)
-    assert chain[1].dim == 21
-    assert chain[2] == h2
-    assert perv.graded.graded_dims(2) == [1, 20, 1]
+    perp = kernel(MatrixQ([list(k3.quad.gram[beta])]))
+    assert perv.step(1, 1) == perp
+    assert perv.step(1, 1).dim == 21
+    assert perv.step(1, 2) == Subspace.full(22)
+    assert perverse_graded_dims(perv, 1, 1) == [1, 20, 1]
 
 
 def test_k3_perverse_degree_zero(k3):
     perv = perverse_filtration(k3)
-    assert perv.graded.steps[0][0] == Subspace.coordinates(k3.total_dim, k3.block_indices(0))
-    assert perv.graded.step(0, -1).dim == 0
+    assert perv.step(0, 0) == Subspace.full(1)
+    assert perv.step(0, -1).dim == 0
 
 
 def test_verbitsky_h4_graded_dims_sum(verb_n2_b5):
     perv = perverse_filtration(verb_n2_b5)
-    assert sum(perv.graded.graded_dims(4)) == 15
+    assert sum(perverse_graded_dims(perv, 2, 2)) == 15
 
 
 def test_perverse_weight_axioms_inherited(verb_n2_b5):
     perv = perverse_filtration(verb_n2_b5)
     assert verify_weight_axioms(perv.operator, perv.weight).all_pass
+
+
+@pytest.mark.parametrize("cls", ["beta", "sigma_bar"])
+@pytest.mark.parametrize("name", SHIPPED)
+def test_per_piece_chains_equal_the_one_piece_path(shipped_models, name, cls):
+    # the same filtration two ways: per piece from the blocks of L_x, and on
+    # the whole space from the assembled matrix, then cut to each piece
+    m = shipped_models[name]
+    x = getattr(m.classes, cls)
+    blocks, matrix = lefschetz(m, x), NilpotentOperator(m.lefschetz_matrix(x))
+    assert jordan_partition(blocks) == jordan_partition(matrix)
+    graded, whole = weight_filtration(blocks, m.n), weight_filtration(matrix, m.n)
+    D = m.total_dim
+    for d in range(m.pieces):
+        lo, hi = m.offsets[d], m.offsets[d + 1]
+        piece = Subspace.coordinates(D, range(lo, hi))
+        for k in range(2 * m.n + 1):
+            rows = [[0] * lo + list(row) + [0] * (D - hi) for row in graded.step(k, d).grid]
+            assert meet(whole.step(k), piece) == Subspace.span(rows, ambient_dim=D), (d, k)
+    assert graded.graded_dims == whole.graded_dims
 
 
 def test_k3_cube_golden(k3_cube):
@@ -111,13 +121,13 @@ def test_verbitsky_n2_b5_cube_middle_slice(shipped_cubes):
 
 
 def test_cube_purity_row_sums(verb_n2_b5):
+    n = verb_n2_b5.n
     perv = perverse_filtration(verb_n2_b5)
     c = cube(verb_n2_b5, perv=perv)
     for d in range(verb_n2_b5.pieces):
-        lo, _ = perv.graded.ranges[2 * d]
-        graded = perv.graded.graded_dims(2 * d)
+        graded = perverse_graded_dims(perv, n, d)
         for idx, g in enumerate(graded):
-            k = lo + idx - d
+            k = 2 * d - 2 * n + idx - d
             assert sum(h for (i, kk, dd), h in c.entries.items() if dd == d and kk == k) == g
 
 
@@ -158,16 +168,17 @@ def test_cube_deserialization_rejects_bad_entries():
 
 
 def test_filtration_steps_are_bigraded(verb_n2_b5):
-    # cube(check=True) asserts bigradedness; also spot-check one step by hand
+    # cube asserts bigradedness; also spot-check one step by hand, and that
+    # each canonical row has one bidegree, which cube's pivot count relies on
     perv = perverse_filtration(verb_n2_b5)
-    cube(verb_n2_b5, perv=perv, check=True)
-    step = perv.graded.steps[4][2]
+    cube(verb_n2_b5, perv=perv)
+    step = perv.step(2, 2)  # P_2 H^4 of the n=2 model
     for row in step.grid:
         parts = {}
         for c, x in enumerate(row):
             if x:
-                d = 2  # degree-4 block of the n=2 model
-                p = verb_n2_b5.bidegrees[d][c - verb_n2_b5.offsets[d]][0]
+                p = verb_n2_b5.bidegrees[2][c][0]
                 parts.setdefault(p, [Fraction(0)] * len(row))[c] = x
+        assert len(parts) == 1
         for v in parts.values():
             assert step.contains(v)
