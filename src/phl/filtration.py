@@ -10,10 +10,12 @@ power induces isomorphisms Gr_{l+k} -> Gr_{l-k}; both properties are
 re-checked exactly by verify_weight_axioms.
 
 Operators are graded: N sends each piece V_d of V = V_0 ⊕ ... ⊕ V_(r-1)
-into V_(d+shift), and is stored as those blocks.  Its kernels and images
-are then direct sums over the pieces, and so is W_k, so the filtration is
+into V_(d+1), and is stored as those blocks.  Its kernels and images are
+then direct sums over the pieces, and so is W_k, so the filtration is
 computed, held and checked one piece at a time in the local coordinates
-of each piece.  A square matrix is the one-piece case with shift 0.
+of each piece.  A square matrix is the one-piece case, mapping V_0 into
+itself.  Operators and filtrations take the power or step first and the
+piece second; the piece may be left out only when there is one.
 """
 
 from __future__ import annotations
@@ -47,44 +49,55 @@ class NotNilpotentError(ValueError):
     pass
 
 
+def _only_piece(d, pieces: int) -> int:
+    if d is None:
+        if pieces != 1:
+            raise DimensionMismatch(f"name the piece: the space has {pieces} pieces")
+        return 0
+    return d
+
+
 class NilpotentOperator:
     """Graded nilpotent operator, validated at construction.
 
     The space is V = V_0 ⊕ ... ⊕ V_(r-1) with dims[d] = dim V_d, and blocks[d]
-    is the matrix of N from V_d to V_(d+shift), for every d with
-    d + shift < r.  ``NilpotentOperator(m)`` for a square matrix m is the
-    one-piece case with shift 0.
+    is the matrix of N from V_d to V_(d+1), for d = 0..r-2, so N raises
+    the piece by ``shift`` = 1.  ``NilpotentOperator(m)`` for a square
+    matrix m is the one-piece case, with ``shift`` = 0.
     """
 
     __slots__ = ("dims", "shift", "blocks", "index", "_powers")
 
-    def __init__(self, blocks, dims=None, shift: int = 0):
+    def __init__(self, blocks, dims=None):
         if dims is None:
             m = blocks if isinstance(blocks, MatrixQ) else MatrixQ(blocks)
             if m.rows != m.cols:
                 raise ValueError("nilpotent operator must be square")
-            blocks, dims = [m], [m.rows]
-        self.dims, self.shift, self.blocks = tuple(dims), shift, tuple(blocks)
-        r = len(self.dims)
-        if len(self.blocks) != max(r - shift, 0) or any(
-            (b.rows, b.cols) != (self.dims[d + shift], self.dims[d]) for d, b in enumerate(self.blocks)
-        ):
-            raise DimensionMismatch("blocks do not match the piece dimensions")
-        # _powers[d][k] is N^k on V_d, up to the last nonzero power
+            self.dims, self.shift, self.blocks = (m.rows,), 0, (m,)
+        else:
+            self.dims, self.shift, self.blocks = tuple(dims), 1, tuple(blocks)
+            if len(self.blocks) != max(len(self.dims) - 1, 0) or any(
+                (b.rows, b.cols) != (self.dims[d + 1], self.dims[d]) for d, b in enumerate(self.blocks)
+            ):
+                raise DimensionMismatch("blocks do not match the piece dimensions")
+        # _powers[d][k] is N^k on V_d, up to the last nonzero power; a graded
+        # power vanishes once it passes the top piece, so only a square
+        # matrix can fail to be nilpotent
+        n = self.dim
         self._powers = []
-        for d, n in enumerate(self.dims):
-            powers, e = [MatrixQ.identity(n)], d
-            while e + shift < r:
+        for d, dim in enumerate(self.dims):
+            powers, e = [MatrixQ.identity(dim)], d
+            while e + self.shift < len(self.dims):
                 nxt = self.blocks[e] @ powers[-1]
                 if nxt.is_zero():
                     break
-                if shift == 0 and len(powers) > n:
+                if len(powers) > n:
                     raise NotNilpotentError(
                         f"operator is not nilpotent: N^{n + 1} has rank {nxt.rank()} on a "
                         f"{n}-dimensional space"
                     )
                 powers.append(nxt)
-                e += shift
+                e += self.shift
             self._powers.append(powers)
         self.index = max((len(p) - 1 for p in self._powers), default=0)
 
@@ -92,9 +105,10 @@ class NilpotentOperator:
     def dim(self) -> int:
         return sum(self.dims)
 
-    def power(self, k: int, d: int = 0) -> MatrixQ:
+    def power(self, k: int, d: int | None = None) -> MatrixQ:
         """N^k on V_d as the matrix V_d -> V_(d + k*shift); past the last
         nonzero power a zero matrix, with no rows past the top piece."""
+        d = _only_piece(d, len(self.dims))
         powers = self._powers[d]
         if k < len(powers):
             return powers[k]
@@ -110,9 +124,9 @@ class WeightFiltration:
     center: int
     chains: tuple  # per piece, Subspace values at indices 0..2*center
 
-    def step(self, k: int, d: int = 0) -> Subspace:
+    def step(self, k: int, d: int | None = None) -> Subspace:
         """W_k ∩ V_d with the conventions W_k = 0 for k < 0, = V for k >= 2l."""
-        chain = self.chains[d]
+        chain = self.chains[_only_piece(d, len(self.chains))]
         if k < 0:
             return Subspace.zero(chain[0].ambient_dim)
         return chain[min(k, len(chain) - 1)]
@@ -159,7 +173,7 @@ def verify_weight_axioms(n: NilpotentOperator, w: WeightFiltration) -> CheckRepo
     (a) N W_k ⊆ W_{k-2}; (b) N^k induces Gr_{l+k} ≅ Gr_{l-k}, checked by
     dimension counts of images in quotients.  The chain itself (monotone,
     top step full) is checked first.  N and the steps are homogeneous, so
-    each property is checked block by block: (a) from V_d into V_(d+shift),
+    each property is checked block by block: (a) from V_d into V_(d+1),
     and the ranks in (b) are summed over the pieces.  A witness is the k
     of the whole space.
     """

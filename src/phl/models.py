@@ -446,7 +446,7 @@ class GradedAlgebraModel:
 def lefschetz(model: GradedAlgebraModel, x) -> NilpotentOperator:
     """Cup product with a degree-2 class as a validated nilpotent operator,
     held as its blocks H^{2d} -> H^{2d+2}."""
-    return NilpotentOperator(model._lefschetz_blocks(x), model.dims, shift=1)
+    return NilpotentOperator(model._lefschetz_blocks(x), model.dims)
 
 
 # ---------------------------------------------------------------------------

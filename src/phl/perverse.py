@@ -50,7 +50,7 @@ class PerverseFiltration:
     weight: WeightFiltration
     operator: NilpotentOperator
 
-    def step(self, d: int, j: int) -> Subspace:
+    def step(self, j: int, d: int) -> Subspace:
         """P_j H^{2d} in the local coordinates of piece d."""
         return self.weight.step(j - 2 * d + 2 * self.weight.center, d)
 
@@ -170,7 +170,7 @@ def cube(model: GradedAlgebraModel, perv: PerverseFiltration | None = None) -> P
         hodge_p = [p for p, _ in model.bidegrees[d]]
         prev = Counter()
         for j in range(m - 2 * n, m + 1):
-            step = perv.step(d, j)
+            step = perv.step(j, d)
             if not step.is_graded(hodge_p):
                 raise ModelError(f"filtration step is not bigraded at {(m, j)}")
             counts = Counter(hodge_p[c] for c in step.pivots)

@@ -166,6 +166,28 @@ def test_filtration_of_other_pieces_rejected(k3):
         verify_weight_axioms(op, w)
 
 
+def test_graded_power_and_step_need_their_piece(k3):
+    # L_beta of K3 has three pieces: leaving the piece out is an error,
+    # not piece 0; naming it gives the block product and the local step
+    op = lefschetz(k3, k3.classes.beta)
+    w = weight_filtration(op, 1)
+    with pytest.raises(DimensionMismatch, match="3 pieces"):
+        op.power(1)
+    with pytest.raises(DimensionMismatch, match="3 pieces"):
+        w.step(0)
+    assert (op.power(2, 0).rows, op.power(2, 0).cols) == (1, 1)
+    assert op.power(2, 0).is_zero()
+    assert w.step(0, 0) == Subspace.zero(1)
+    assert w.step(2, 1) == Subspace.full(22)
+
+
+def test_blocks_must_fit_the_pieces():
+    with pytest.raises(DimensionMismatch, match="piece dimensions"):
+        NilpotentOperator([MatrixQ.zeros(2, 1)], [1, 3])
+    with pytest.raises(DimensionMismatch, match="piece dimensions"):
+        NilpotentOperator([MatrixQ.zeros(1, 1)], [1, 1, 1])
+
+
 @pytest.mark.parametrize("name", ["k3", "verb_n2_b5"])
 def test_graded_uniqueness_by_perturbation(request, name):
     # L_beta of a model: any chain differing from the computed one in one

@@ -29,7 +29,7 @@ SHIPPED = ["k3_b22", "verbitsky_n2_b5", "verbitsky_n2_b7", "verbitsky_n3_b5"]
 
 def perverse_graded_dims(perv, n, d):
     """dim Gr_j H^{2d} of the perverse filtration for j = 2d-2n..2d."""
-    return [perv.step(d, j).dim - perv.step(d, j - 1).dim for j in range(2 * d - 2 * n, 2 * d + 1)]
+    return [perv.step(j, d).dim - perv.step(j - 1, d).dim for j in range(2 * d - 2 * n, 2 * d + 1)]
 
 
 def test_k3_hodge_w0_is_sigma_bar_and_point(k3):
@@ -62,19 +62,19 @@ def test_verbitsky_hodge_graded_dims_match_bidegree_counts(verb_n2_b5):
 def test_k3_perverse_middle_degree(k3):
     perv = perverse_filtration(k3)
     beta = 2  # beta is the third degree-2 basis vector
-    assert perv.step(1, 0) == Subspace.coordinates(22, [beta])
+    assert perv.step(0, 1) == Subspace.coordinates(22, [beta])
     # P_1 is the q-orthogonal of beta inside H^2
     perp = kernel(MatrixQ([list(k3.quad.gram[beta])]))
     assert perv.step(1, 1) == perp
     assert perv.step(1, 1).dim == 21
-    assert perv.step(1, 2) == Subspace.full(22)
+    assert perv.step(2, 1) == Subspace.full(22)
     assert perverse_graded_dims(perv, 1, 1) == [1, 20, 1]
 
 
 def test_k3_perverse_degree_zero(k3):
     perv = perverse_filtration(k3)
     assert perv.step(0, 0) == Subspace.full(1)
-    assert perv.step(0, -1).dim == 0
+    assert perv.step(-1, 0).dim == 0
 
 
 def test_verbitsky_h4_graded_dims_sum(verb_n2_b5):
