@@ -27,9 +27,7 @@ from .models import (
     ModelSpec,
     QuadraticSpace,
     SpecError,
-    build_k3,
     build_model,
-    build_verbitsky,
     lefschetz,
     validate,
 )

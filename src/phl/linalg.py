@@ -134,6 +134,12 @@ class SpanReducer:
     def contains(self, v: dict) -> bool:
         return not self._reduce(v)
 
+    def is_graded(self, labels) -> bool:
+        """Whether the span is graded by the labels of the coordinates.  The
+        RREF of a graded span is the union of the RREFs of its graded parts,
+        so this holds exactly when every row carries one label."""
+        return all(len({labels[c] for c in row}) == 1 for row in self.rows.values())
+
     def canonical_rows(self):
         """RREF rows as {column: Fraction} dicts with unit pivots, by pivot."""
         out = []
@@ -342,15 +348,10 @@ class Subspace:
         return self.reducer().contains(_integer_row(w))
 
     def is_graded(self, labels) -> bool:
-        """Whether every basis row splits, by the label of each coordinate,
-        into parts that lie in the subspace."""
-        for row in self.grid:
-            parts = {}
-            for c, x in _integer_row(row).items():
-                parts.setdefault(labels[c], {})[c] = x
-            if len(parts) > 1 and not all(self.reducer().contains(part) for part in parts.values()):
-                return False
-        return True
+        """Whether the subspace is graded by the labels of the coordinates:
+        whether every basis row carries one label (see
+        ``SpanReducer.is_graded``)."""
+        return all(len({labels[c] for c, x in enumerate(row) if x}) == 1 for row in self.grid)
 
     def reducer(self) -> SpanReducer:
         """The basis rows in a ``SpanReducer``, built once and cached."""

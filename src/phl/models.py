@@ -1,18 +1,15 @@
 """Graded Frobenius-algebra models of hyperkahler-type cohomology.
 
-Two constructions are shipped:
-
-* ``build_k3`` -- the full cohomology ring of a K3 surface: degrees
-  (0, 2, 4) with dims (1, b2, 1), cup product on degree 2 given by the
-  Beauville-Bogomolov form, integral(pt) = 1.
-
-* ``build_verbitsky`` -- the subalgebra generated by degree 2 for half
-  complex dimension n: degree 2d is Sym^d(H^2) for d <= n and the
-  quotient of Sym^d(H^2) by the kernel of the top-degree pairing for
-  d > n.  The pairing is the perfect-matching sum
-  ``int x_1...x_{2n} = sum over matchings M of prod_{(a,b) in M} q(x_a, x_b)``
-  (Fujiki constant normalized to 1; rescaling it moves no kernel and
-  hence no dimension below).
+One construction serves every spec.  ``build_model`` builds the
+subalgebra generated by degree 2 in half complex dimension n: degree 2d
+is Sym^d(H^2) for d <= n and the quotient of Sym^d(H^2) by the kernel K_d
+of the top-degree pairing for d > n.  The pairing is the perfect-matching
+sum ``int x_1...x_{2n} = sum over matchings M of prod_{(a,b) in M} q(x_a, x_b)``
+(Fujiki constant normalized to 1; rescaling it moves no kernel and hence
+no dimension below).  A K3 surface is the case n = 1: degrees (0, 2, 4)
+with dims (1, b2, 1) and int e_i e_j = q(e_i, e_j).  Each quotient piece
+is read off the RREF of the pairing map Sym^d -> (Sym^{2n-d})^*, so K_d
+is never formed (``_quotient_piece``).
 
 Everything is exact: complex conjugation is modeled as the basis
 involution swapping the sigma and sigma-bar tags, which is enough for
@@ -37,9 +34,10 @@ import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .filtration import NilpotentOperator
-from .linalg import MatrixQ, Subspace, _frac, _integer_row, kernel, reduce
+from .linalg import MatrixQ, SpanReducer, _frac, _integer_row, reduce
 from .report import CheckReport
 
 __all__ = [
@@ -50,12 +48,9 @@ __all__ = [
     "ModelSpec",
     "GradedAlgebraModel",
     "default_gram",
-    "build_k3",
-    "build_verbitsky",
     "build_model",
     "lefschetz",
     "validate",
-    "all_pairings",
     "matching_integral",
     "monomials",
     "monomial_bidegree",
@@ -268,33 +263,20 @@ def monomial_bidegree(exp):
     return (2 * exp[0] + rest, 2 * exp[1] + rest)
 
 
-def all_pairings(items):
-    """All partitions of the given list into unordered pairs."""
-    items = list(items)
-    if not items:
-        yield []
-        return
-    first = items[0]
-    rest = items[1:]
-    for i, other in enumerate(rest):
-        for sub in all_pairings(rest[:i] + rest[i + 1 :]):
-            yield [(first, other)] + sub
-
-
 def matching_integral(gram, indices) -> Fraction:
     """Sum over perfect matchings of prod q(x_a, x_b) for the given factor
-    list; zero for an odd number of factors."""
-    indices = list(indices)
+    list; zero for an odd number of factors.  The first factor is matched
+    with each later one it pairs with nonzero, and the rest recursively."""
     if len(indices) % 2:
         return Fraction(0)
+    if not indices:
+        return Fraction(1)
+    first, rest = indices[0], indices[1:]
     total = Fraction(0)
-    for pairing in all_pairings(indices):
-        term = Fraction(1)
-        for a, b in pairing:
-            term *= _frac(gram[a][b])
-            if term == 0:
-                break
-        total += term
+    for i, other in enumerate(rest):
+        g = gram[first][other]
+        if g:
+            total += _frac(g) * matching_integral(gram, rest[:i] + rest[i + 1 :])
     return total
 
 
@@ -342,8 +324,7 @@ class GradedAlgebraModel:
     """
 
     def __init__(
-        self, kind, n, quad, dims, bidegrees, mult, integral_vec, classes, conj,
-        pairing_kernels=None,
+        self, kind, n, quad, dims, bidegrees, mult, integral_vec, classes, conj, quotients
     ):
         self.kind = kind
         self.n = n
@@ -354,7 +335,7 @@ class GradedAlgebraModel:
         self.integral_vec = integral_vec  # functional on the top piece
         self.classes = classes
         self.conj = conj  # list of MatrixQ blocks, piece d
-        self.pairing_kernels = pairing_kernels  # {d: Subspace of Sym^d}, d > n (verbitsky)
+        self.quotients = quotients  # list of _Piece, piece d
         self.validation = None
         self.pieces = 2 * n + 1
         self.offsets = [0]
@@ -450,7 +431,7 @@ def lefschetz(model: GradedAlgebraModel, x) -> NilpotentOperator:
 
 
 # ---------------------------------------------------------------------------
-# builders
+# the builder
 # ---------------------------------------------------------------------------
 
 
@@ -481,47 +462,6 @@ def _check_classes(quad: QuadraticSpace, classes: DistinguishedClasses) -> list:
     return bad
 
 
-def build_k3(spec: ModelSpec) -> GradedAlgebraModel:
-    """K3 cohomology ring: degrees (0, 2, 4), dims (1, b2, 1)."""
-    if spec.kind != "k3":
-        raise ModelError("build_k3 requires kind = k3")
-    spec.validate_scale()
-    quad = _quad_from_spec(spec)
-    b2 = spec.b2
-    dims = [1, b2, 1]
-    bidegrees = [
-        [(0, 0)],
-        [quad.bidegree(i) for i in range(b2)],
-        [(2, 2)],
-    ]
-    one = Fraction(1)
-    mult = {(0, 0): {(0, 0): {0: one}}}
-    for d, dim in ((1, b2), (2, 1)):
-        mult[(0, d)] = {(0, j): {j: one} for j in range(dim)}
-        mult[(d, 0)] = {(j, 0): {j: one} for j in range(dim)}
-    mult[(1, 1)] = {
-        (i, j): {0: _frac(x)} for i, row in enumerate(quad.gram) for j, x in enumerate(row) if x
-    }
-    integral_vec = (Fraction(1),)
-    s, sb = quad.sigma_index, quad.sigma_bar_index
-    swap = {s: sb, sb: s}
-    conj2 = [[Fraction(int(j == swap.get(i, i))) for j in range(b2)] for i in range(b2)]
-    conj = [MatrixQ.identity(1), MatrixQ.from_rows(conj2, b2), MatrixQ.identity(1)]
-    model = GradedAlgebraModel(
-        kind="k3",
-        n=1,
-        quad=quad,
-        dims=dims,
-        bidegrees=bidegrees,
-        mult=mult,
-        integral_vec=integral_vec,
-        classes=_default_classes(b2),
-        conj=conj,
-    )
-    _require_valid(model, spec.gram is not None)
-    return model
-
-
 def _pairing_matrix(gram, mono_a, mono_b) -> MatrixQ:
     """Matching-sum pairing of the monomials mono_a (rows) with mono_b."""
     rows = []
@@ -532,70 +472,101 @@ def _pairing_matrix(gram, mono_a, mono_b) -> MatrixQ:
 
 
 class _Piece:
-    """One graded piece of the symmetric-power model: a chosen monomial
-    basis of Sym^d/K_d plus the projection of Sym^d onto it, one sparse
-    column {basis index: value} per monomial."""
+    """Degree 2d of the model: the monomials of Sym^d with their index, the
+    basis monomials of the quotient, and the projection of Sym^d onto them
+    as sparse columns {monomial index: {basis index: value}} (a monomial
+    without a column lies in the kernel)."""
 
-    def __init__(self, mono, kern: Subspace):
+    def __init__(self, mono, basis_monomials, proj):
         self.mono = mono
-        piv = set(kern.pivots)
-        self.basis_monomials = [c for c in range(len(mono)) if c not in piv]
-        self.proj = [{} for _ in mono]
-        for t, c in enumerate(self.basis_monomials):
-            self.proj[c] = {t: Fraction(1)}
-        for row, p in zip(kern.grid, kern.pivots):
-            self.proj[p] = {t: -row[c] for t, c in enumerate(self.basis_monomials) if row[c]}
+        self.idx = {m: c for c, m in enumerate(mono)}
+        self.basis_monomials = basis_monomials
+        self.proj = proj
 
     @property
     def dim(self):
         return len(self.basis_monomials)
 
 
-def build_verbitsky(spec: ModelSpec) -> GradedAlgebraModel:
-    """Symmetric-power model generated by degree 2 in half dimension n."""
-    if spec.kind != "verbitsky":
-        raise ModelError("build_verbitsky requires kind = verbitsky")
+def _quotient_piece(gram, d: int, mono, dual) -> _Piece:
+    """Sym^d modulo the kernel K_d of its pairing with the monomials dual of
+    Sym^{2n-d}, read off the RREF of the pairing map Sym^d -> (Sym^{2n-d})^*
+    with its columns taken right to left; K_d itself is never formed.
+
+    Monomial c is a pivot exactly when its column is independent of the
+    columns to its right, that is, when no vector of K_d has its leading
+    entry at c: the pivots are the monomials that the RREF of K_d leaves
+    free.  Column c of the RREF writes the pairing of x_c through the pivot
+    columns, so it is the projection of x_c onto that basis.
+    """
+    span = SpanReducer()
+    for row in _pairing_matrix(gram, dual, mono[::-1]).array:
+        span.insert(_integer_row(row))
+    if span.dim != len(dual):
+        raise ModelError(
+            f"pairing kernel in degree {2 * d} has codimension {span.dim}, expected {len(dual)}"
+        )
+    # K_d must be spanned by pure-bidegree vectors, or the quotient
+    # bigrading would be meaningless; it is bigraded exactly when its
+    # orthogonal complement, the row space of the map, is
+    if not span.is_graded([monomial_bidegree(e) for e in reversed(mono)]):
+        raise ModelError(f"pairing kernel in degree {2 * d} is not bigraded")
+    last = len(mono) - 1
+    proj = {}
+    # canonical rows come by pivot, right to left in monomial order
+    for t, row in enumerate(reversed(span.canonical_rows())):
+        for col, x in row.items():
+            proj.setdefault(last - col, {})[t] = x
+    return _Piece(mono, sorted(last - p for p in span.rows), proj)
+
+
+_GRAM_CONVENTION = (
+    "a custom gram must follow the basis convention: coordinate 0 is sigma, "
+    "1 is sigma_bar, 2 is beta, and omega = beta + coordinate 3"
+)
+
+
+def build_model(spec: ModelSpec) -> GradedAlgebraModel:
+    """The validated model of a spec: degree 2d is Sym^d(H^2) modulo the
+    kernel of the top-degree pairing, and a k3 spec is the case n = 1.
+    With a custom gram, every error names the basis convention it is read in."""
     spec.validate_scale()
+    try:
+        model = _symmetric_power_model(spec)
+        _require_valid(model)
+    except ModelError as exc:
+        if spec.gram is None:
+            raise
+        raise ModelError(f"{exc}; {_GRAM_CONVENTION}") from None
+    return model
+
+
+def _symmetric_power_model(spec: ModelSpec) -> GradedAlgebraModel:
+    """The model of a spec, before validation."""
     quad = _quad_from_spec(spec)
     n, b2 = spec.n, spec.b2
-    mono = {d: monomials(b2, d) for d in range(0, 2 * n + 1)}
-    idx = {d: {m: i for i, m in enumerate(mono[d])} for d in mono}
-
+    P = 2 * n + 1
+    mono = [monomials(b2, d) for d in range(P)]
     pieces = []
-    kernels = {}
-    for d in range(0, 2 * n + 1):
-        if d <= n:
-            pieces.append(_Piece(mono[d], Subspace.zero(len(mono[d]))))
-            continue
-        kern = kernels[d] = kernel(_pairing_matrix(quad.gram, mono[2 * n - d], mono[d]))
-        piece = _Piece(mono[d], kern)
-        if piece.dim != len(mono[2 * n - d]):
-            raise ModelError(
-                f"pairing kernel in degree {2 * d} has codimension {piece.dim}, "
-                f"expected {len(mono[2 * n - d])}"
-            )
-        # the kernel must be spanned by pure-bidegree vectors, or the
-        # quotient bigrading would be meaningless
-        if not kern.is_graded([monomial_bidegree(e) for e in mono[d]]):
-            raise ModelError(f"pairing kernel in degree {2 * d} is not bigraded")
-        pieces.append(piece)
+    for d in range(P):
+        if d > n:
+            pieces.append(_quotient_piece(quad.gram, d, mono[d], mono[2 * n - d]))
+        else:
+            every = range(len(mono[d]))
+            pieces.append(_Piece(mono[d], list(every), {c: {c: Fraction(1)} for c in every}))
 
     dims = [p.dim for p in pieces]
-    bidegrees = [
-        [monomial_bidegree(pieces[d].mono[c]) for c in pieces[d].basis_monomials]
-        for d in range(2 * n + 1)
-    ]
+    bidegrees = [[monomial_bidegree(p.mono[c]) for c in p.basis_monomials] for p in pieces]
 
     mult = {}
-    for da in range(0, 2 * n + 1):
-        for db in range(0, 2 * n + 1 - da):
-            dc = da + db
+    for da in range(P):
+        for db in range(P - da):
+            A, B, C = pieces[da], pieces[db], pieces[da + db]
             t = mult[(da, db)] = {}
-            for i, ca in enumerate(pieces[da].basis_monomials):
-                ea = pieces[da].mono[ca]
-                for j, cb in enumerate(pieces[db].basis_monomials):
-                    eb = pieces[db].mono[cb]
-                    col = pieces[dc].proj[idx[dc][tuple(x + y for x, y in zip(ea, eb))]]
+            for i, ca in enumerate(A.basis_monomials):
+                ea = A.mono[ca]
+                for j, cb in enumerate(B.basis_monomials):
+                    col = C.proj.get(C.idx[tuple(map(add, ea, B.mono[cb]))])
                     if col:
                         t[(i, j)] = dict(col)
 
@@ -605,37 +576,29 @@ def build_verbitsky(spec: ModelSpec) -> GradedAlgebraModel:
     top_int = matching_integral(quad.gram, _expand(top.mono[top.basis_monomials[0]]))
     if top_int == 0:
         raise ModelError("top-degree integral vanishes; gram is unusable")
-    integral_vec = (top_int,)
 
+    # conjugation swaps the exponents of sigma and sigma-bar, coordinates 0 and 1
     conj = []
-    for d in range(0, 2 * n + 1):
-        piece = pieces[d]
+    for piece in pieces:
         c = [[0] * piece.dim for _ in range(piece.dim)]
         for t, cm in enumerate(piece.basis_monomials):
-            exp = list(piece.mono[cm])
-            exp[0], exp[1] = exp[1], exp[0]
-            for r, x in piece.proj[idx[d][tuple(exp)]].items():
+            e = piece.mono[cm]
+            for r, x in piece.proj.get(piece.idx[(e[1], e[0]) + e[2:]], {}).items():
                 c[r][t] = x
         conj.append(MatrixQ.from_rows(c, piece.dim))
 
-    model = GradedAlgebraModel(
-        kind="verbitsky",
+    return GradedAlgebraModel(
+        kind=spec.kind,
         n=n,
         quad=quad,
         dims=dims,
         bidegrees=bidegrees,
         mult=mult,
-        integral_vec=integral_vec,
+        integral_vec=(top_int,),
         classes=_default_classes(b2),
         conj=conj,
-        pairing_kernels=kernels,
+        quotients=pieces,
     )
-    _require_valid(model, spec.gram is not None)
-    return model
-
-
-def build_model(spec: ModelSpec) -> GradedAlgebraModel:
-    return build_k3(spec) if spec.kind == "k3" else build_verbitsky(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -643,13 +606,7 @@ def build_model(spec: ModelSpec) -> GradedAlgebraModel:
 # ---------------------------------------------------------------------------
 
 
-_GRAM_CONVENTION = (
-    "a custom gram must follow the basis convention: coordinate 0 is sigma, "
-    "1 is sigma_bar, 2 is beta, and omega = beta + coordinate 3"
-)
-
-
-def _require_valid(model: GradedAlgebraModel, custom_gram: bool) -> None:
+def _require_valid(model: GradedAlgebraModel) -> None:
     """Keep the validate report on the model, or raise naming each failed
     check with its first witnesses."""
     rep = validate(model)
@@ -658,8 +615,7 @@ def _require_valid(model: GradedAlgebraModel, custom_gram: bool) -> None:
             f"{r.name} ({', '.join(map(str, r.witnesses[:3]))})" if r.witnesses else r.name
             for r in rep.failures()
         )
-        note = f"; {_GRAM_CONVENTION}" if custom_gram else ""
-        raise ModelError(f"model fails validation: {failed}{note}")
+        raise ModelError(f"model fails validation: {failed}")
     model.validation = rep
 
 
@@ -782,23 +738,23 @@ def validate(model: GradedAlgebraModel) -> CheckReport:
 
 
 def _kernel_ideal_witnesses(model: GradedAlgebraModel) -> list:
-    """Probe K_d * Sym^1 ⊆ K_{d+1} on every kernel basis vector."""
-    n, b2 = model.n, model.quad.b2
+    """Probe K_d * Sym^1 ⊆ K_{d+1} on the generator
+    x_c - sum_t proj(x_c)_t x_{b_t} of K_d of each non-basis monomial c of
+    Sym^d; the r-th of them is row r of the RREF of K_d.  Its product with
+    x_v lies in K_{d+1} exactly when it projects to zero, that is, when
+    proj(x_c x_v) = sum_t proj(x_c)_t proj(x_{b_t} x_v)."""
+    b2 = model.quad.b2
     bad = []
-    mono = {d: monomials(b2, d) for d in range(n + 1, 2 * n + 1)}
-    idx = {d: {m: i for i, m in enumerate(mono[d])} for d in mono}
-    kernels = model.pairing_kernels
-    for d in range(n + 1, 2 * n):
-        span = kernels[d + 1].reducer()
-        for r, row in enumerate(kernels[d].grid):
-            terms = [(mono[d][c], x) for c, x in _integer_row(row).items()]
+    for d in range(model.n + 1, 2 * model.n):
+        piece, up = model.quotients[d], model.quotients[d + 1]
+        basis = piece.basis_monomials
+        free = set(basis)
+        # times[c][v]: index in Sym^{d+1} of the monomial x_c * x_v
+        times = [[up.idx[e[:v] + (e[v] + 1,) + e[v + 1 :]] for v in range(b2)] for e in piece.mono]
+        others = (c for c in range(len(piece.mono)) if c not in free)
+        for r, c in enumerate(others):
+            gen = {c: 1, **{basis[t]: -x for t, x in piece.proj.get(c, {}).items()}}
             for v in range(b2):
-                prod = {}
-                for exp, x in terms:
-                    exp = list(exp)
-                    exp[v] += 1
-                    k = idx[d + 1][tuple(exp)]
-                    prod[k] = prod.get(k, 0) + x
-                if not span.contains(prod):
+                if _combine(up.proj, {times[m][v]: x for m, x in gen.items()}):
                     bad.append((2 * d, r, v))
     return bad

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from phl.linalg import MatrixQ
-from phl.models import ModelSpec, build_k3, build_verbitsky
+from phl.models import ModelSpec, build_model
 from phl.perverse import cube
 
 
@@ -15,22 +15,22 @@ from phl.perverse import cube
 
 @pytest.fixture(scope="session")
 def k3():
-    return build_k3(ModelSpec(kind="k3", n=1, b2=22))
+    return build_model(ModelSpec(kind="k3", n=1, b2=22))
 
 
 @pytest.fixture(scope="session")
 def verb_n2_b5():
-    return build_verbitsky(ModelSpec(kind="verbitsky", n=2, b2=5))
+    return build_model(ModelSpec(kind="verbitsky", n=2, b2=5))
 
 
 @pytest.fixture(scope="session")
 def verb_n2_b7():
-    return build_verbitsky(ModelSpec(kind="verbitsky", n=2, b2=7))
+    return build_model(ModelSpec(kind="verbitsky", n=2, b2=7))
 
 
 @pytest.fixture(scope="session")
 def verb_n3_b5():
-    return build_verbitsky(ModelSpec(kind="verbitsky", n=3, b2=5))
+    return build_model(ModelSpec(kind="verbitsky", n=3, b2=5))
 
 
 @pytest.fixture(scope="session")

@@ -172,6 +172,22 @@ def test_invalid_custom_gram_names_check_and_witness(tmp_path, capsys):
     assert "coordinate 0 is sigma, 1 is sigma_bar, 2 is beta" in err
 
 
+@pytest.mark.parametrize("kind", ["k3", "verbitsky"])
+def test_unbigraded_custom_gram_names_convention(tmp_path, capsys, kind):
+    # q(sigma, e_4) != 0 mixes bidegrees (2, 2) and (3, 1) in the pairing of
+    # degree 4, which is caught while the H^4 piece is built
+    gram = [["0"] * 5 for _ in range(5)]
+    gram[0][1] = gram[1][0] = gram[2][3] = gram[3][2] = gram[0][4] = gram[4][0] = "1"
+    gram[4][4] = "-1"
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"kind": kind, "n": 1, "b2": 5, "gram": gram}))
+    code, _, err = run_cli(["model", "--spec", str(path)], capsys)
+    assert code == 3
+    assert len(err.splitlines()) == 1
+    assert "pairing kernel in degree 4 is not bigraded" in err
+    assert "coordinate 0 is sigma, 1 is sigma_bar, 2 is beta" in err
+
+
 def test_cmd_render_invalid_cube(tmp_path, capsys):
     bad = tmp_path / "cube.json"
     bad.write_text('{"n": 1, "entries": [{"i": 0, "k": 0, "d": 9, "h": 1}]}')

@@ -117,10 +117,10 @@ def test_so6_report_all_models(shipped_models):
 
 
 def test_full_lefschetz_closure_formula_n2():
-    from phl.models import ModelSpec, build_verbitsky
+    from phl.models import ModelSpec, build_model
 
     for b2, expect in ((5, 21), (6, 28), (7, 36)):
-        m = build_verbitsky(ModelSpec(kind="verbitsky", n=2, b2=b2))
+        m = build_model(ModelSpec(kind="verbitsky", n=2, b2=b2))
         h0 = degree_grading(m)
         ops = []
         for x in lefschetz_spanning_set(m):

@@ -7,7 +7,9 @@ import pytest
 from phl.linalg import (
     DimensionMismatch,
     MatrixQ,
+    SpanReducer,
     Subspace,
+    _integer_row,
     image,
     inverse,
     join,
@@ -205,6 +207,35 @@ def test_is_graded_by_coordinate_labels():
     assert s.is_graded(["a", "a", "b"])
     assert not s.is_graded(["a", "b", "b"])
     assert span_of([[1, 0, 0], [0, 1, 2]]).is_graded(["a", "b", "b"])
+
+
+def test_is_graded_matches_the_splitting_definition():
+    # one label per RREF row, against the definition: every basis row
+    # splits by label into parts that lie in the subspace
+    rng = random.Random(11)
+    seen = set()
+    for _ in range(60):
+        cols = rng.randint(2, 6)
+        labels = [rng.randint(0, 2) for _ in range(cols)]
+        rows = []
+        for _ in range(rng.randint(1, cols)):
+            lab = rng.choice(labels)
+            rows.append([rng.randint(-2, 2) if labels[c] == lab else 0 for c in range(cols)])
+        if rng.random() < 0.5:
+            rows.append([rng.randint(-2, 2) for _ in range(cols)])
+        rows = [row for row in rows if any(row)] or [[1] * cols]
+        s = span_of(rows)
+        splits = all(
+            s.contains([x if labels[c] == lab else 0 for c, x in enumerate(row)])
+            for row in s.grid
+            for lab in labels
+        )
+        span = SpanReducer()
+        for row in rows:
+            span.insert(_integer_row(row))
+        assert s.is_graded(labels) == span.is_graded(labels) == splits
+        seen.add(splits)
+    assert seen == {True, False}
 
 
 def test_inverse():

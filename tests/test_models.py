@@ -4,13 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from phl.linalg import MatrixQ, Subspace, inverse, kernel
+from phl.linalg import MatrixQ, inverse, kernel
 from phl.models import (
     ModelError,
     ModelSpec,
     SpecError,
-    build_k3,
-    build_verbitsky,
+    build_model,
     default_gram,
     lefschetz,
     matching_integral,
@@ -28,8 +27,11 @@ def test_k3_default_betti(k3):
 
 
 def test_k3_sigma_cup_sigma_bar_is_point(k3):
+    # H^4 is spanned by the monomial x_21^2, whose integral is q(e_21, e_21) = -1
+    assert k3.integral_vec == (Fraction(-1),)
+    point = [1 / k3.integral_vec[0]]  # the H^4 vector with integral 1
     prod = k3.cup(1, k3.classes.sigma, 1, k3.classes.sigma_bar)
-    assert list(prod) == [Fraction(1)]
+    assert list(prod) == point
     assert k3.integral(prod) == 1
 
 
@@ -42,37 +44,48 @@ def test_k3_hodge_middle_row(k3):
 
 def test_b2_four_rejected_with_exception_message():
     with pytest.raises(ModelError, match="b2 = 4"):
-        build_k3(ModelSpec(kind="k3", n=1, b2=4))
+        build_model(ModelSpec(kind="k3", n=1, b2=4))
 
 
 def test_small_b2_rejected():
     with pytest.raises(ModelError):
-        build_k3(ModelSpec(kind="k3", n=1, b2=3))
+        build_model(ModelSpec(kind="k3", n=1, b2=3))
 
 
 def test_degenerate_gram_rejected():
     g = default_gram(5)
     g[4][4] = 0  # kills the last diagonal entry
     with pytest.raises(ModelError):
-        build_k3(ModelSpec(kind="k3", n=1, b2=5, gram=g))
+        build_model(ModelSpec(kind="k3", n=1, b2=5, gram=g))
 
 
 def test_verbitsky_out_of_scale():
     with pytest.raises(ModelError):
-        build_verbitsky(ModelSpec(kind="verbitsky", n=4, b2=5))
+        build_model(ModelSpec(kind="verbitsky", n=4, b2=5))
     with pytest.raises(ModelError):
-        build_verbitsky(ModelSpec(kind="verbitsky", n=2, b2=9))
+        build_model(ModelSpec(kind="verbitsky", n=2, b2=9))
 
 
-def test_verbitsky_n1_matches_k3(k3):
-    m = build_verbitsky(ModelSpec(kind="verbitsky", n=1, b2=22))
-    assert m.dims == k3.dims
-    # structure constants agree through the (basis-free) integrals
-    for i in range(22):
-        ei = [Fraction(int(c == i)) for c in range(22)]
-        for j in range(22):
-            ej = [Fraction(int(c == j)) for c in range(22)]
-            assert m.integral(m.cup(1, ei, 1, ej)) == k3.integral(k3.cup(1, ei, 1, ej))
+CUSTOM_GRAM_B5 = [["0", "1", "0", "0", "0"],
+                  ["1", "0", "0", "0", "0"],
+                  ["0", "0", "0", "1", "0"],
+                  ["0", "0", "1", "0", "0"],
+                  ["0", "0", "0", "0", "-1/2"]]
+
+
+@pytest.mark.parametrize("kind", ["k3", "verbitsky"])
+@pytest.mark.parametrize("doc", [{"b2": 22}, {"b2": 5, "gram": CUSTOM_GRAM_B5}], ids=["b22", "b5_custom"])
+def test_n1_integrals_are_the_form(kind, doc):
+    # closed form of the K3 ring: int e_i e_j = q(e_i, e_j), whatever basis
+    # vector spans H^4
+    m = build_model(ModelSpec.from_json_dict({"kind": kind, "n": 1, **doc}))
+    b2 = m.quad.b2
+    assert m.dims == [1, b2, 1]
+    for i in range(b2):
+        ei = [Fraction(int(c == i)) for c in range(b2)]
+        for j in range(b2):
+            ej = [Fraction(int(c == j)) for c in range(b2)]
+            assert m.integral(m.cup(1, ei, 1, ej)) == m.quad.gram[i][j]
 
 
 def test_three_matchings_of_four_points(verb_n2_b5):
@@ -143,6 +156,15 @@ def _bump(t, i, j, k):
     col[k] = col.get(k, 0) + 1
 
 
+def _bump_last_projection(m, d):
+    """Add 1 to one entry of the projection column of the last non-basis
+    monomial of Sym^d."""
+    piece = m.quotients[d]
+    c = max(set(range(len(piece.mono))) - set(piece.basis_monomials))
+    col = piece.proj.setdefault(c, {})
+    col[0] = col.get(0, 0) + 1
+
+
 def _negate_conj_entry(m, d, r):
     a = [list(row) for row in m.conj[d].array]
     a[r][r] = -a[r][r]
@@ -150,7 +172,9 @@ def _negate_conj_entry(m, d, r):
 
 
 # one corruption per structural check of validate, with the witnesses the
-# dense-tensor checks gave for the same corruption
+# dense-tensor checks gave for the same corruption; for the kernel ideal, the
+# witnesses of dropping the last row of the RREF of K_4, the row whose pivot
+# is the monomial bumped here
 CORRUPTIONS = [
     ("algebra_unit", lambda m: m.mult[(0, 1)][(0, 2)].update({2: Fraction(2)}), [(1, 2, 2)]),
     ("algebra_commutative", lambda m: _bump(m.mult[(1, 2)], 0, 1, 2), [(2, 4), (4, 2)]),
@@ -163,17 +187,13 @@ CORRUPTIONS = [
     ("mult_bigraded", lambda m: _bump(m.mult[(1, 1)], 2, 2, 0), [(2, 2, 2, 2, 0)]),
     ("conj_involution", lambda m: m.conj.__setitem__(1, MatrixQ([[2 * x for x in row] for row in m.conj[1].array])), [("involution", 2)]),
     ("conj_algebra_map", lambda m: _negate_conj_entry(m, 1, 4), [(2, 2), (2, 4), (2, 6), (4, 2), (6, 2)]),
-    (
-        "verbitsky_kernel_ideal",
-        lambda m: m.pairing_kernels.__setitem__(4, Subspace.span(m.pairing_kernels[4].grid[:-1])),
-        [(6, 7, 4), (6, 8, 3), (6, 26, 4), (6, 27, 3)],
-    ),
+    ("verbitsky_kernel_ideal", lambda m: _bump_last_projection(m, 4), [(6, 7, 4), (6, 8, 3), (6, 26, 4), (6, 27, 3)]),
 ]
 
 
 @pytest.mark.parametrize("check,corrupt,witnesses", CORRUPTIONS, ids=[c[0] for c in CORRUPTIONS])
 def test_corrupted_model_fails_named_check(check, corrupt, witnesses):
-    m = build_verbitsky(ModelSpec(kind="verbitsky", n=2, b2=5))  # validated
+    m = build_model(ModelSpec(kind="verbitsky", n=2, b2=5))  # validated
     corrupt(m)
     rep = validate(m)
     assert not rep[check].passed
@@ -219,6 +239,27 @@ def test_pairing_kernel_equals_harmonic_contraction_kernel(shipped_models, n, b2
     pm = _pairing_matrix(gram, up, monomials(b2, n - 1))
     pairing_kernel = kernel(pm.transpose())
     assert harmonic == pairing_kernel
+
+
+@pytest.mark.parametrize("name", ["verbitsky_n2_b5", "verbitsky_n2_b7", "verbitsky_n3_b5"])
+def test_quotient_pieces_match_the_pairing_kernel(shipped_models, name):
+    # the builder reads each quotient piece off the pairing map and never
+    # forms K_d; the kernel of the same map gives it a second way
+    from phl.models import _pairing_matrix
+
+    m = shipped_models[name]
+    n, b2 = m.n, m.quad.b2
+    for d in range(n + 1, 2 * n + 1):
+        piece = m.quotients[d]
+        kern = kernel(_pairing_matrix(m.quad.gram, monomials(b2, 2 * n - d), piece.mono))
+        assert [c for c in range(len(piece.mono)) if c not in kern.pivots] == piece.basis_monomials
+        # so row r of the RREF has its pivot at the r-th non-basis monomial
+        for row, c in zip(kern.grid, kern.pivots):
+            gen = [Fraction(0)] * len(piece.mono)
+            gen[c] = Fraction(1)
+            for t, x in piece.proj.get(c, {}).items():
+                gen[piece.basis_monomials[t]] = -x
+            assert row == tuple(gen)
 
 
 def test_fujiki_relation(verb_n2_b5, verb_n3_b5):
@@ -279,15 +320,9 @@ def test_matching_integral_odd_count_vanishes():
 def test_spec_json_parsing():
     spec = ModelSpec.from_json_dict({"kind": "k3"})
     assert (spec.n, spec.b2) == (1, 22)
-    spec = ModelSpec.from_json_dict(
-        {"kind": "k3", "b2": 5, "gram": [["0", "1", "0", "0", "0"],
-                                          ["1", "0", "0", "0", "0"],
-                                          ["0", "0", "0", "1", "0"],
-                                          ["0", "0", "1", "0", "0"],
-                                          ["0", "0", "0", "0", "-1/2"]]}
-    )
+    spec = ModelSpec.from_json_dict({"kind": "k3", "b2": 5, "gram": CUSTOM_GRAM_B5})
     assert spec.gram[4][4] == Fraction(-1, 2)
-    build_k3(spec)  # scaled diagonal entry is still a valid model
+    build_model(spec)  # scaled diagonal entry is still a valid model
     with pytest.raises(SpecError):
         ModelSpec.from_json_dict({"kind": "elliptic"})
     with pytest.raises(SpecError):
