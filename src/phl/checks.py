@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .filtration import NilpotentOperator, NotNilpotentError, verify_weight_axioms, weight_filtration
 from .lie import bracket, hodge_q_grading, sl2_complete, so6_report
@@ -34,8 +34,7 @@ __all__ = [
 _MAX_WITNESSES = 10
 
 
-@dataclass(frozen=True)
-class SignedPermutation:
+class SignedPermutation(NamedTuple):
     """v -> (signs[r] * v[perm[r]])_r acting on (i, k, d-n)."""
 
     perm: tuple
@@ -72,8 +71,7 @@ class SignedPermutation:
         return ",".join(parts)
 
 
-@dataclass(frozen=True)
-class SymmetryGroupSpec:
+class SymmetryGroupSpec(NamedTuple):
     rotations: tuple
     reflections: tuple
 

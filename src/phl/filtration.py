@@ -21,7 +21,7 @@ piece second; the piece may be left out only when there is one.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .linalg import (
     DimensionMismatch,
@@ -116,8 +116,7 @@ class NilpotentOperator:
         return MatrixQ.zeros(self.dims[e] if e < len(self.dims) else 0, self.dims[d])
 
 
-@dataclass(frozen=True)
-class WeightFiltration:
+class WeightFiltration(NamedTuple):
     """Centered weight filtration W_0 ⊆ ... ⊆ W_{2l} = V, held per piece:
     chains[d][k] is W_k ∩ V_d in the local coordinates of V_d."""
 

@@ -22,8 +22,8 @@ decisions are certified, never numerical.  Block products are
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+import time
+from typing import NamedTuple
 
 from .filtration import NilpotentOperator, NotNilpotentError
 from .linalg import (
@@ -61,8 +61,7 @@ class Sl2CompletionError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class GradingOperator:
+class GradingOperator(NamedTuple):
     """Diagonal grading on the total space of a model."""
 
     kind: str
@@ -70,7 +69,7 @@ class GradingOperator:
 
     def matrix(self) -> MatrixQ:
         n = len(self.diag)
-        rows = [[Fraction(v) if i == j else 0 for j in range(n)] for i, v in enumerate(self.diag)]
+        rows = [[v if i == j else 0 for j in range(n)] for i, v in enumerate(self.diag)]
         return MatrixQ.from_rows(rows, n)
 
 
@@ -341,8 +340,6 @@ def lefschetz_spanning_set(model):
 def so6_report(model, lam_sigma_bar=None) -> CheckReport:
     """Closure of the four Lefschetz sl2 triples: dimension 15 = dim so(6),
     membership of the distinguished operators, nilpotency of the commutator."""
-    import time
-
     rep = CheckReport()
     q = model.q
     gens = so6_generators(model)

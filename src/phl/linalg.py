@@ -1,8 +1,9 @@
 """Exact linear algebra over the rationals, on one elimination engine.
 
-Matrices hold their rows as plain Python lists of Fraction (or plain int)
-entries; all arithmetic is exact.  Products multiply nonzero entries only
-(``_dot``).
+Matrices hold their rows as plain Python lists of exact entries, in one
+canonical form (``_frac``): an int when integral, else a Fraction, which
+compares and hashes as the equal int would.  All arithmetic is exact.
+Products multiply nonzero entries only (``_dot``).
 Subspaces are stored as reduced row echelon bases with strictly increasing
 pivot columns, so two subspaces are equal exactly when their basis grids
 are equal.
@@ -42,13 +43,16 @@ class DimensionMismatch(ValueError):
     """Operands live in different ambient spaces."""
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
+def _frac(x) -> int | Fraction:
+    """x in canonical form: an int when integral, else a Fraction; bool and float raise."""
+    if type(x) is int:
         return x
-    if isinstance(x, numbers.Integral) and not isinstance(x, bool):
-        return Fraction(int(x))
     if isinstance(x, str):
-        return Fraction(x)
+        x = Fraction(x)
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    if isinstance(x, numbers.Integral) and not isinstance(x, bool):
+        return int(x)
     raise TypeError(f"not an exact rational: {x!r}")
 
 
@@ -86,10 +90,10 @@ def _integer_row(entries) -> dict:
     """Nonzero entries of a rational vector as {index: int}, scaled to a
     primitive integer vector."""
     v = {c: x for c, x in enumerate(entries) if x}
-    denom = math.lcm(1, *(x.denominator for x in v.values() if isinstance(x, Fraction)))
-    return _primitive(
-        {c: int(x * denom) if isinstance(x, Fraction) else int(x) * denom for c, x in v.items()}
-    )
+    if any(type(x) is not int for x in v.values()):
+        denom = math.lcm(*(x.denominator for x in v.values()))
+        v = {c: x.numerator * (denom // x.denominator) for c, x in v.items()}
+    return _primitive(v)
 
 
 class SpanReducer:
@@ -141,26 +145,26 @@ class SpanReducer:
         return all(len({labels[c] for c in row}) == 1 for row in self.rows.values())
 
     def canonical_rows(self):
-        """RREF rows as {column: Fraction} dicts with unit pivots, by pivot."""
+        """RREF rows as {column: entry} dicts in canonical form, unit pivots, by pivot."""
         out = []
         for p in sorted(self.rows):
             row = self.rows[p]
             pv = row[p]
-            out.append({c: Fraction(x, pv) for c, x in row.items()})
+            out.append({c: x // pv if x % pv == 0 else Fraction(x, pv) for c, x in row.items()})
         return out
 
 
 def _rref(rows, cols: int):
     """Reduced row echelon form of an exact matrix given by its rows.
 
-    Returns (rows, pivots) where rows is a tuple of Fraction-tuples (the
-    nonzero RREF rows, pivot entries equal to 1) and pivots the strictly
-    increasing pivot column indices.
+    Returns (rows, pivots) where rows is a tuple of tuples of canonical
+    entries (the nonzero RREF rows, pivot entries equal to 1) and pivots the
+    strictly increasing pivot column indices.
     """
     reducer = SpanReducer()
     for row in rows:
         reducer.insert(_integer_row(row))
-    zero = (Fraction(0),) * cols
+    zero = (0,) * cols
     out = []
     for row in reducer.canonical_rows():
         full = list(zero)
@@ -178,8 +182,8 @@ def _null_rows(grid, pivots, cols: int) -> list:
     for f in range(cols):
         if f in piv:
             continue
-        v = [Fraction(0)] * cols
-        v[f] = Fraction(1)
+        v = [0] * cols
+        v[f] = 1
         for row, p in zip(grid, pivots):
             v[p] = -row[f]
         out.append(v)
@@ -234,7 +238,7 @@ class MatrixQ:
 
     @property
     def array(self):
-        """The rows, as sequences of Fraction or int entries; treat as read-only."""
+        """The rows, as sequences of exact entries; treat as read-only."""
         return self._a
 
     def grid(self):
@@ -319,7 +323,7 @@ class Subspace:
     def coordinates(cls, n: int, coords) -> "Subspace":
         """Span of the standard basis vectors e_c, c in coords, of Q^n."""
         coords = sorted(coords)
-        grid = tuple(tuple(Fraction(int(j == c)) for j in range(n)) for c in coords)
+        grid = tuple(tuple(int(j == c) for j in range(n)) for c in coords)
         return cls(n, grid, coords)
 
     @classmethod

@@ -31,10 +31,11 @@ the sl2 and Lie layer and the commutator checks.
 from __future__ import annotations
 
 import itertools
+import re
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
+from typing import NamedTuple
 
 from .filtration import NilpotentOperator
 from .linalg import MatrixQ, SpanReducer, _frac, _integer_row, reduce
@@ -73,17 +74,11 @@ class ModelError(ValueError):
 def default_gram(b2: int) -> list:
     """Two hyperbolic pairs (sigma, sigma-bar) and (beta, beta-dual), then a
     diagonal tail: (+1, -1 x 17) for b2 = 22, all -1 otherwise.  Returned
-    as rows of Fraction entries."""
-    g = [[Fraction(0)] * b2 for _ in range(b2)]
-    g[0][1] = g[1][0] = Fraction(1)
-    g[2][3] = g[3][2] = Fraction(1)
-    if b2 == 22:
-        g[4][4] = Fraction(1)
-        for i in range(5, b2):
-            g[i][i] = Fraction(-1)
-    else:
-        for i in range(4, b2):
-            g[i][i] = Fraction(-1)
+    as rows of int entries."""
+    g = [[0] * b2 for _ in range(b2)]
+    g[0][1] = g[1][0] = g[2][3] = g[3][2] = 1
+    for i in range(4, b2):
+        g[i][i] = 1 if (b2, i) == (22, 4) else -1
     return g
 
 
@@ -120,7 +115,7 @@ class QuadraticSpace:
     def sigma_bar_index(self) -> int:
         return self.labels.index("sigma_bar")
 
-    def pair(self, x, y) -> Fraction:
+    def pair(self, x, y) -> int | Fraction:
         y = tuple(y)
         gy = (sum(g * b for g, b in zip(row, y) if g) for row in self.gram)
         return _frac(sum(a * c for a, c in zip(x, gy) if a))
@@ -129,10 +124,9 @@ class QuadraticSpace:
         return {"sigma": (2, 0), "sigma_bar": (0, 2)}.get(self.labels[i], (1, 1))
 
 
-@dataclass
-class DistinguishedClasses:
+class DistinguishedClasses(NamedTuple):
     """Coordinates (in the degree-2 basis) of sigma, sigma-bar, beta, omega,
-    as tuples of Fraction."""
+    as tuples of exact entries."""
 
     sigma: tuple
     sigma_bar: tuple
@@ -145,7 +139,7 @@ class DistinguishedClasses:
 
 def _default_classes(b2: int) -> DistinguishedClasses:
     def e(*idx):
-        return tuple(Fraction(int(i in idx)) for i in range(b2))
+        return tuple(int(i in idx) for i in range(b2))
 
     return DistinguishedClasses(sigma=e(0), sigma_bar=e(1), beta=e(2), omega=e(2, 3))
 
@@ -155,14 +149,26 @@ def _default_classes(b2: int) -> DistinguishedClasses:
 # ---------------------------------------------------------------------------
 
 _SPEC_KEYS = {"kind", "n", "b2", "gram"}
+# no exponent: as a string, "9e999999" would be a million-digit integer
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
-@dataclass
-class ModelSpec:
+def _rational(x) -> int | Fraction:
+    """A gram entry, in canonical form: a JSON integer (not true or false),
+    or a string "p" or "p/q" of an optional sign and decimal digits."""
+    if type(x) is int or (isinstance(x, str) and _RATIONAL.fullmatch(x)):
+        try:
+            return _frac(x)
+        except (ValueError, ZeroDivisionError):  # p/0, or past the digit limit
+            pass
+    raise SpecError(f"not a rational: {x!r}")
+
+
+class ModelSpec(NamedTuple):
     kind: str
     n: int
     b2: int
-    gram: list | None = None  # rows of Fraction entries
+    gram: list | None = None  # rows of exact entries
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ModelSpec":
@@ -193,12 +199,7 @@ class ModelSpec:
             for row in raw:
                 if len(row) != len(raw[0]):
                     raise SpecError("gram rows have unequal lengths")
-                gram.append([])
-                for x in row:
-                    try:
-                        gram[-1].append(_frac(x))
-                    except (TypeError, ValueError, ZeroDivisionError):
-                        raise SpecError(f"not a rational: {x!r}") from None
+                gram.append([_rational(x) for x in row])
         return cls(kind=kind, n=n, b2=b2, gram=gram)
 
     def validate_scale(self) -> None:
@@ -263,20 +264,21 @@ def monomial_bidegree(exp):
     return (2 * exp[0] + rest, 2 * exp[1] + rest)
 
 
-def matching_integral(gram, indices) -> Fraction:
+def matching_integral(gram, indices) -> int | Fraction:
     """Sum over perfect matchings of prod q(x_a, x_b) for the given factor
-    list; zero for an odd number of factors.  The first factor is matched
-    with each later one it pairs with nonzero, and the rest recursively."""
+    list; zero for an odd number of factors, and an int for an int gram.
+    The first factor is matched with each later one it pairs with nonzero,
+    and the rest recursively."""
     if len(indices) % 2:
-        return Fraction(0)
+        return 0
     if not indices:
-        return Fraction(1)
+        return 1
     first, rest = indices[0], indices[1:]
-    total = Fraction(0)
+    total = 0
     for i, other in enumerate(rest):
         g = gram[first][other]
         if g:
-            total += _frac(g) * matching_integral(gram, rest[:i] + rest[i + 1 :])
+            total += g * matching_integral(gram, rest[:i] + rest[i + 1 :])
     return total
 
 
@@ -350,15 +352,15 @@ class GradedAlgebraModel:
         the top degree."""
         if da + db >= self.pieces:
             return None
-        out = [Fraction(0)] * self.dims[da + db]
+        out = [0] * self.dims[da + db]
         for k, x in _product(self.mult[(da, db)], _sparse(va), _sparse(vb)).items():
             out[k] = x
         return out
 
-    def integral(self, v_top) -> Fraction:
+    def integral(self, v_top) -> int | Fraction:
         return _frac(sum(x * y for x, y in zip(v_top, self.integral_vec)))
 
-    def q(self, x, y) -> Fraction:
+    def q(self, x, y) -> int | Fraction:
         return self.quad.pair(x, y)
 
     def _lefschetz_blocks(self, x) -> list:
@@ -412,9 +414,9 @@ class GradedAlgebraModel:
             raise ModelError("class rescalings must be nonzero")
         c = self.classes
         cls = DistinguishedClasses(
-            sigma=tuple(x * s for x in c.sigma),
-            sigma_bar=tuple(x * s for x in c.sigma_bar),
-            beta=tuple(x * b for x in c.beta),
+            sigma=tuple(_frac(x * s) for x in c.sigma),
+            sigma_bar=tuple(_frac(x * s) for x in c.sigma_bar),
+            beta=tuple(_frac(x * b) for x in c.beta),
             omega=c.omega,
         )
         clone = object.__new__(GradedAlgebraModel)
@@ -436,7 +438,7 @@ def lefschetz(model: GradedAlgebraModel, x) -> NilpotentOperator:
 
 
 def _quad_from_spec(spec: ModelSpec) -> QuadraticSpace:
-    gram = spec.gram if spec.gram is not None else default_gram(spec.b2)
+    gram = default_gram(spec.b2) if spec.gram is None else [[_frac(x) for x in r] for r in spec.gram]
     labels = ["sigma", "sigma_bar"] + ["hodge11"] * (spec.b2 - 2)
     return QuadraticSpace(spec.b2, gram, labels)
 
@@ -553,7 +555,7 @@ def _symmetric_power_model(spec: ModelSpec) -> GradedAlgebraModel:
             pieces.append(_quotient_piece(quad.gram, d, mono[d], mono[2 * n - d]))
         else:
             every = range(len(mono[d]))
-            pieces.append(_Piece(mono[d], list(every), {c: {c: Fraction(1)} for c in every}))
+            pieces.append(_Piece(mono[d], list(every), {c: {c: 1} for c in every}))
 
     dims = [p.dim for p in pieces]
     bidegrees = [[monomial_bidegree(p.mono[c]) for c in p.basis_monomials] for p in pieces]
@@ -594,7 +596,7 @@ def _symmetric_power_model(spec: ModelSpec) -> GradedAlgebraModel:
         dims=dims,
         bidegrees=bidegrees,
         mult=mult,
-        integral_vec=(top_int,),
+        integral_vec=(_frac(top_int),),
         classes=_default_classes(b2),
         conj=conj,
         quotients=pieces,

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .filtration import NilpotentOperator, WeightFiltration, weight_filtration
 from .linalg import Subspace
@@ -42,8 +42,7 @@ __all__ = [
 CUBE_MAX_N = 16
 
 
-@dataclass(frozen=True)
-class PerverseFiltration:
+class PerverseFiltration(NamedTuple):
     """Perverse chains P_j H^{2d} = W_{j-2d+2n} ∩ H^{2d}, read off the weight
     filtration of L_beta."""
 
@@ -97,8 +96,7 @@ def perverse_filtration(model: GradedAlgebraModel) -> PerverseFiltration:
     return PerverseFiltration(weight=weight_filtration(op, n), operator=op)
 
 
-@dataclass(frozen=True)
-class PerverseHodgeCube:
+class PerverseHodgeCube(NamedTuple):
     """Finite map (i, k, d) -> h^{i,k,d} >= 0 for a model of dimension 2n."""
 
     n: int

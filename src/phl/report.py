@@ -3,18 +3,19 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 __all__ = ["CheckResult", "CheckReport"]
 
 
-@dataclass
 class CheckResult:
-    name: str
-    status: str  # "pass" | "fail"
-    witnesses: list = field(default_factory=list)
-    data: dict = field(default_factory=dict)
-    seconds: float = 0.0
+    """One named check: status "pass" or "fail", witnesses, data, seconds."""
+
+    __slots__ = ("name", "status", "witnesses", "data", "seconds")
+
+    def __init__(self, name, status, witnesses=None, data=None, seconds=0.0):
+        self.name, self.status, self.seconds = name, status, seconds
+        self.witnesses = [] if witnesses is None else witnesses
+        self.data = {} if data is None else data
 
     @property
     def passed(self) -> bool:

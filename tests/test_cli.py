@@ -117,12 +117,26 @@ def test_cmd_render_round_trip(tmp_path, capsys, k3_cube):
     assert K3_ASCII_D1 in out
 
 
+# a valid b2 = 5 gram but for its last entry, in exponent notation
+EXPONENT_GRAM = [
+    ["0", "1", "0", "0", "0"],
+    ["1", "0", "0", "0", "0"],
+    ["0", "0", "0", "1", "0"],
+    ["0", "0", "1", "0", "0"],
+    ["0", "0", "0", "0", "9e999999"],
+]
+
+
 @pytest.mark.parametrize(
     "verb,doc",
     [
         ("cube", '{"kind": "k3", "gram": []}'),
         ("cube", '{"kind": "k3", "gram": [["x"]]}'),
         ("cube", '{"kind": "k3", "gram": [["1/0"]]}'),
+        ("cube", '{"kind": "k3", "gram": [["0.5"]]}'),
+        ("cube", '{"kind": "k3", "gram": [["1e3"]]}'),
+        # as a Fraction, the last entry would be a million-digit integer
+        ("check", json.dumps({"kind": "k3", "b2": 5, "gram": EXPONENT_GRAM})),
         ("cube", '{"kind": "k3", "gram": [[true]]}'),
         ("cube", '{"kind": "verbitsky", "n": true, "b2": 5}'),
         ("render", '{"n": 1, "entries": [{"i": 0, "k": 0, "d": 0, "h": true}]}'),
@@ -293,3 +307,16 @@ def test_import_does_not_load_numpy():
     code = "import sys, phl, phl.cli, phl.lie; sys.exit('numpy' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=SRC_DIR)
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
+def test_import_does_not_load_dataclasses_or_inspect():
+    # dataclasses pulls in inspect, ast, dis and tokenize, about half of what
+    # importing phl used to cost; -S keeps site .pth files out of the count
+    code = (
+        "import sys, phl, phl.cli, phl.lie; "
+        "sys.exit(' '.join(sorted({'dataclasses', 'inspect'} & set(sys.modules))) or None)"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC_DIR)
+    cmd = [sys.executable, "-S", "-c", code]
+    run = subprocess.run(cmd, env=env, timeout=60, capture_output=True, text=True)
+    assert run.returncode == 0, f"imported: {run.stderr}"

@@ -9,6 +9,7 @@ from phl.linalg import (
     MatrixQ,
     SpanReducer,
     Subspace,
+    _frac,
     _integer_row,
     image,
     inverse,
@@ -24,7 +25,7 @@ from conftest import random_invertible, random_matrix, random_rational_matrix
 def ff_rank(grid):
     """Independent oracle: fraction-free Gaussian elimination (Bareiss-style
     cross multiplication on plain Fraction lists, first-nonzero pivoting)."""
-    m = [list(row) for row in grid]
+    m = [[Fraction(x) for x in row] for row in grid]
     if not m:
         return 0
     rows, cols = len(m), len(m[0])
@@ -187,6 +188,37 @@ def test_subspace_contains_rejects_inexact_entries():
     line = span_of([[1, 2]])
     assert line.contains([Count(3), Count(6)])
     assert not line.contains([Count(3), Count(5)])
+
+
+def canonical(x) -> bool:
+    """Whether an exact scalar is in canonical form: an int, or a Fraction
+    with a denominator above 1."""
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
+
+
+def test_frac_gives_the_canonical_form():
+    values = (3, Fraction(6, 3), Count(4), "8/4", Fraction(1, 2), "-1/3")
+    assert [_frac(x) for x in values] == [3, 2, 4, 2, Fraction(1, 2), Fraction(-1, 3)]
+    assert [type(_frac(x)) for x in values] == [int] * 4 + [Fraction] * 2
+    for x in (True, False, 0.5, 2.0):
+        with pytest.raises(TypeError):
+            _frac(x)
+
+
+def test_eliminations_give_canonical_entries():
+    rng = random.Random(5)
+    for _ in range(20):
+        m = random_rational_matrix(rng, 4, 5)
+        s = Subspace.span(m)
+        grids = (m.array, s.grid, kernel(m).grid, image(m).grid, s.constraints())
+        assert all(canonical(x) for g in grids for row in g for x in row)
+        assert all(canonical(x) for row in s.reducer().canonical_rows() for x in row.values())
+    # an integer matrix whose pivots divide every entry eliminates to ints
+    m = MatrixQ([[Fraction(2), 4, 6], [1, 1, Fraction(3, 3)]])
+    grids = (m.array, reduce(m)[0].grid, kernel(m).grid, Subspace.coordinates(3, [0, 2]).grid)
+    assert all(type(x) is int for g in grids for row in g for x in row)
+    assert _integer_row([0, 2, 4, -6]) == {1: 1, 2: 2, 3: -3}
+    assert _integer_row([Fraction(1, 2), 0, Fraction(-2, 3)]) == {0: 3, 2: -4}
 
 
 def test_subspace_contains_matches_rank_oracle():

@@ -17,8 +17,9 @@ from phl.models import (
     monomials,
     validate,
 )
+from phl.perverse import perverse_filtration
 
-from test_linalg import ff_rank
+from test_linalg import canonical, ff_rank
 
 
 def test_k3_default_betti(k3):
@@ -29,7 +30,7 @@ def test_k3_default_betti(k3):
 def test_k3_sigma_cup_sigma_bar_is_point(k3):
     # H^4 is spanned by the monomial x_21^2, whose integral is q(e_21, e_21) = -1
     assert k3.integral_vec == (Fraction(-1),)
-    point = [1 / k3.integral_vec[0]]  # the H^4 vector with integral 1
+    point = [Fraction(1) / k3.integral_vec[0]]  # the H^4 vector with integral 1
     prod = k3.cup(1, k3.classes.sigma, 1, k3.classes.sigma_bar)
     assert list(prod) == point
     assert k3.integral(prod) == 1
@@ -329,6 +330,48 @@ def test_spec_json_parsing():
         ModelSpec.from_json_dict({"kind": "k3", "extra": 1})
     with pytest.raises(SpecError):
         ModelSpec.from_json_dict({"kind": "verbitsky", "b2": 5})
+
+
+@pytest.mark.parametrize(
+    "entry,value", [(3, 3), ("-3", -3), ("+2", 2), ("-1/2", Fraction(-1, 2)), ("4/2", 2)]
+)
+def test_gram_entry_spellings_accepted(entry, value):
+    gram = [[entry]]
+    parsed = ModelSpec.from_json_dict({"kind": "k3", "b2": 5, "gram": gram}).gram[0][0]
+    assert parsed == value and type(parsed) is type(value)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    ["0.5", "1e3", "9e999999", " 1", "1/", "/2", "1/0", "1_0", "١", "9" * 5000, True, 1.5, None],
+)
+def test_gram_entry_spellings_rejected(entry):
+    # only "p" or "p/q" in decimal digits: an exponent would let a short
+    # string stand for a huge integer
+    with pytest.raises(SpecError, match="not a rational"):
+        ModelSpec.from_json_dict({"kind": "k3", "b2": 5, "gram": [[entry]]})
+
+
+def test_shipped_models_hold_canonical_scalars(shipped_models):
+    for name, m in shipped_models.items():
+        perv = perverse_filtration(m)
+        steps = [perv.step(j, d) for d in range(m.pieces) for j in range(2 * d - 2 * m.n, 2 * d + 1)]
+        stored = {
+            "mult": [x for t in m.mult.values() for col in t.values() for x in col.values()],
+            "gram": [x for row in m.quad.gram for x in row],
+            "classes": [x for c in m.classes.as_rows() for x in c],
+            "integral_vec": list(m.integral_vec),
+            "conj": [x for c in m.conj for row in c.array for x in row],
+            "l_beta": [x for b in lefschetz(m, m.classes.beta).blocks for row in b.array for x in row],
+            "perverse_steps": [x for s in steps for row in s.grid for x in row],
+        }
+        for what, xs in stored.items():
+            bad = [x for x in xs if not canonical(x)]
+            assert not bad, (name, what, bad[:3])
+    n2_b5 = shipped_models["verbitsky_n2_b5"]
+    consts = [x for t in n2_b5.mult.values() for col in t.values() for x in col.values()]
+    # n2_b5 keeps its non-integer structure constants as Fractions
+    assert (len(consts), sum(type(x) is Fraction for x in consts)) == (179, 40)
 
 
 def test_rescale_requires_nonzero(k3):
