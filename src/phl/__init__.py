@@ -41,7 +41,6 @@ from .perverse import (
 )
 from .lie import (
     GradingOperator,
-    LieSubalgebra,
     Sl2CompletionError,
     lie_closure,
     membership,

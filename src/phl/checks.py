@@ -246,15 +246,9 @@ def commutator_nilpotency_check(
     comm = bracket(model.lefschetz_matrix(model.classes.beta), lam_sigma_bar)
 
     t0 = time.perf_counter()
-    a = comm.array
-    piece = [slice(model.offsets[d], model.offsets[d + 1]) for d in range(model.pieces)]
-    bad = []
-    for d1 in range(model.pieces):
-        for d2 in range(model.pieces):
-            if d1 == d2:
-                continue
-            if any(x for row in a[piece[d1]] for x in row[piece[d2]]):
-                bad.append([2 * d1, 2 * d2])
+    piece = [d for d in range(model.pieces) for _ in range(model.dims[d])]
+    pairs = sorted({(piece[i], piece[j]) for i, j in comm})
+    bad = [[2 * d1, 2 * d2] for d1, d2 in pairs if d1 != d2]
     rep.add("commutator_degree_preserving", not bad, witnesses=bad, seconds=time.perf_counter() - t0)
     if bad:
         return rep
@@ -263,13 +257,16 @@ def commutator_nilpotency_check(
         c = cube(model)
 
     t0 = time.perf_counter()
+    blocks = [[[0] * dim for _ in range(dim)] for dim in model.dims]
+    for (i, j), x in comm.items():
+        off = model.offsets[piece[i]]
+        blocks[piece[i]][i - off][j - off] = x
     bad = []
     filtrations = {}
     for d in range(model.pieces):
-        blk = [row[piece[d]] for row in a[piece[d]]]
         expected = min(d, 2 * n - d)
         try:
-            op = NilpotentOperator(blk)
+            op = NilpotentOperator(blocks[d])
         except NotNilpotentError:
             bad.append([2 * d, "not nilpotent", expected])
             continue

@@ -28,9 +28,19 @@ EXIT_PARSE = 2
 EXIT_INVALID_MODEL = 3
 
 
+class _ParseError(Exception):
+    pass
+
+
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError as exc:  # an integer literal longer than int's digit limit
+        raise _ParseError(str(exc)) from None
 
 
 def _write(text: str, out: str | None) -> None:
@@ -187,6 +197,9 @@ def main(argv=None) -> int:
             f"parse error: {exc.msg} at line {exc.lineno} column {exc.colno}",
             file=sys.stderr,
         )
+        return EXIT_PARSE
+    except _ParseError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (OSError, UnicodeDecodeError) as exc:
         print(f"file error: {exc}", file=sys.stderr)

@@ -86,14 +86,19 @@ def _eliminate(v: dict, row: dict, p: int) -> dict:
     return out
 
 
-def _integer_row(entries) -> dict:
-    """Nonzero entries of a rational vector as {index: int}, scaled to a
-    primitive integer vector."""
-    v = {c: x for c, x in enumerate(entries) if x}
+def _integer(v: dict) -> dict:
+    """A sparse rational vector {key: nonzero entry}, with keys of any
+    kind, scaled to a primitive integer vector."""
     if any(type(x) is not int for x in v.values()):
         denom = math.lcm(*(x.denominator for x in v.values()))
         v = {c: x.numerator * (denom // x.denominator) for c, x in v.items()}
     return _primitive(v)
+
+
+def _integer_row(entries) -> dict:
+    """Nonzero entries of a rational vector as {index: int}, scaled to a
+    primitive integer vector."""
+    return _integer({c: x for c, x in enumerate(entries) if x})
 
 
 class SpanReducer:

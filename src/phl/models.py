@@ -24,8 +24,9 @@ the Lefschetz blocks and every check in ``validate``.
 Cup product with a degree-2 class raises the degree by exactly 2, so
 ``lefschetz`` hands its blocks H^{2d} -> H^{2d+2} to ``NilpotentOperator``
 and the filtrations are computed one piece at a time;
-``lefschetz_matrix`` assembles the same blocks into one D x D matrix for
-the sl2 and Lie layer and the commutator checks.
+``lefschetz_matrix`` gives the same entries as one sparse operator
+{(row, col): entry} on the total space for the sl2 and Lie layer and the
+commutator checks.
 """
 
 from __future__ import annotations
@@ -363,29 +364,32 @@ class GradedAlgebraModel:
     def q(self, x, y) -> int | Fraction:
         return self.quad.pair(x, y)
 
+    def _lefschetz_entries(self, x, d: int) -> dict:
+        """Cup product with a degree-2 class x from H^{2d} to H^{2d+2}, as
+        its nonzero entries {(row, col): entry} in the local coordinates."""
+        xs, t = _sparse(x), self.mult[(1, d)]
+        return {(k, j): y for j in range(self.dims[d]) for k, y in _product(t, xs, {j: 1}).items()}
+
     def _lefschetz_blocks(self, x) -> list:
         """Cup product with a degree-2 class x, as its blocks H^{2d} -> H^{2d+2}."""
-        xs = _sparse(x)
         out = []
         for d in range(self.pieces - 1):
-            t = self.mult[(1, d)]
             rows = [[0] * self.dims[d] for _ in range(self.dims[d + 1])]
-            for j in range(self.dims[d]):
-                for k, y in _product(t, xs, {j: 1}).items():
-                    rows[k][j] = y
+            for (k, j), y in self._lefschetz_entries(x, d).items():
+                rows[k][j] = y
             out.append(MatrixQ.from_rows(rows, self.dims[d]))
         return out
 
-    def lefschetz_matrix(self, x) -> MatrixQ:
-        """Cup product with a degree-2 class x as one D x D matrix, its
-        blocks H^{2d} -> H^{2d+2} placed below the diagonal."""
-        D = self.total_dim
-        out = [[0] * D for _ in range(D)]
-        for d, block in enumerate(self._lefschetz_blocks(x)):
-            cols = slice(self.offsets[d], self.offsets[d + 1])
-            for r, row in enumerate(block.array):
-                out[self.offsets[d + 1] + r][cols] = row
-        return MatrixQ.from_rows(out, D)
+    def lefschetz_matrix(self, x) -> dict:
+        """Cup product with a degree-2 class x as a sparse operator
+        {(row, col): entry} on the total space, its blocks
+        H^{2d} -> H^{2d+2} placed below the diagonal."""
+        off = self.offsets
+        return {
+            (off[d + 1] + k, off[d] + j): y
+            for d in range(self.pieces - 1)
+            for (k, j), y in self._lefschetz_entries(x, d).items()
+        }
 
     # -- gradings -------------------------------------------------------------
 

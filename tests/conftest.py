@@ -54,6 +54,25 @@ def shipped_cubes(shipped_models):
 
 
 # ---------------------------------------------------------------------------
+# sparse operators {(row, col): entry} and their dense matrices
+# ---------------------------------------------------------------------------
+
+
+def dense(op: dict, D: int) -> MatrixQ:
+    """The D x D matrix of a sparse operator."""
+    rows = [[0] * D for _ in range(D)]
+    for (i, j), x in op.items():
+        rows[i][j] = x
+    return MatrixQ(rows)
+
+
+def sparse(m) -> dict:
+    """The nonzero entries of a square matrix as a sparse operator."""
+    m = m if isinstance(m, MatrixQ) else MatrixQ(m)
+    return {(i, j): x for i, row in enumerate(m.array) for j, x in enumerate(row) if x}
+
+
+# ---------------------------------------------------------------------------
 # randomized-input helpers (all deterministic via explicit seeds)
 # ---------------------------------------------------------------------------
 

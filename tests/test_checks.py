@@ -15,6 +15,7 @@ from phl.checks import (
 )
 from phl.perverse import PerverseHodgeCube
 
+from conftest import dense
 from test_perverse import K3_GOLDEN
 
 
@@ -203,7 +204,7 @@ def test_k3_antidiagonal_sums_match_commutator_weights(k3, k3_cube):
     from phl.lie import bracket, hodge_q_grading, sl2_complete
 
     lam = sl2_complete(k3.lefschetz_matrix(k3.classes.sigma_bar), hodge_q_grading(k3))
-    comm = bracket(k3.lefschetz_matrix(k3.classes.beta), lam).array
+    comm = dense(bracket(k3.lefschetz_matrix(k3.classes.beta), lam), 24).array
     blk = [row[1:23] for row in comm[1:23]]
     op = NilpotentOperator(blk)
     assert op.index == 1
@@ -227,3 +228,38 @@ def test_run_check_suite_verb_n2_b5(verb_n2_b5):
     assert c.total() == 27
     names = [r.name for r in rep.results]
     assert len(names) == len(set(names))  # every check registered exactly once
+
+
+def test_commutator_checks_fail_on_a_degree_mixing_partner(k3, k3_cube):
+    # Λ_σ̄ plus a 1 from H^4 to H^0 makes [L_β, Λ] mix degrees 0, 2 and 4
+    from phl.lie import hodge_q_grading, sl2_complete, so6_report
+
+    lam = sl2_complete(k3.lefschetz_matrix(k3.classes.sigma_bar), hodge_q_grading(k3))
+    lam[(0, 23)] = lam.get((0, 23), 0) + 1
+    rep = commutator_nilpotency_check(k3, k3_cube, lam_sigma_bar=lam)
+    assert [r.name for r in rep.results] == ["commutator_degree_preserving"]
+    assert rep["commutator_degree_preserving"].witnesses == [[0, 2], [2, 4]]
+    so6 = so6_report(k3, lam_sigma_bar=lam)
+    assert [r.name for r in so6.failures()] == [
+        "llv_contains_lambda_sigma_bar",
+        "llv_commutator_member",
+    ]
+
+
+def test_commutator_checks_fail_on_a_non_nilpotent_commutator(k3, k3_cube):
+    # with the transpose of L_β as partner, [L_β, L_β^T] preserves degree
+    # but is a nonzero symmetric operator on every piece
+    from phl.lie import so6_report
+
+    lam = {(j, i): x for (i, j), x in k3.lefschetz_matrix(k3.classes.beta).items()}
+    rep = commutator_nilpotency_check(k3, k3_cube, lam_sigma_bar=lam)
+    assert rep["commutator_degree_preserving"].passed
+    assert rep["commutator_nilpotency"].witnesses == [
+        [0, "not nilpotent", 0],
+        [2, "not nilpotent", 1],
+        [4, "not nilpotent", 0],
+    ]
+    assert rep["antidiagonal_sums"].witnesses == [[0], [2], [4]]
+    assert [r.name for r in rep.failures()] == ["commutator_nilpotency", "antidiagonal_sums"]
+    so6 = so6_report(k3, lam_sigma_bar=lam)
+    assert [r.name for r in so6.failures()] == ["llv_commutator_nilpotent"]

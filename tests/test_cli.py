@@ -117,6 +117,8 @@ def test_cmd_render_round_trip(tmp_path, capsys, k3_cube):
     assert K3_ASCII_D1 in out
 
 
+LONG_INT = "9" * 5000
+
 # a valid b2 = 5 gram but for its last entry, in exponent notation
 EXPONENT_GRAM = [
     ["0", "1", "0", "0", "0"],
@@ -144,6 +146,18 @@ EXPONENT_GRAM = [
         ("render", '{"n": 1, "entries": [1]}'),
         ("render", '{"n": 1000000000, "entries": [{"i": 0, "k": 0, "d": 0, "h": 1}]}'),
         ("render", '{"n": 1, "entries": [{"i": 1000000000, "k": 0, "d": 1, "h": 1}]}'),
+        # JSON integers longer than the 4300 digits int() accepts from text
+        pytest.param("cube", '{"kind": "k3", "n": %s}' % LONG_INT, id="cube-long-integer-n"),
+        pytest.param(
+            "check",
+            json.dumps({"kind": "k3", "b2": 5, "gram": EXPONENT_GRAM}).replace('"9e999999"', LONG_INT),
+            id="check-long-integer-gram-entry",
+        ),
+        pytest.param(
+            "render",
+            '{"n": 1, "entries": [{"i": 0, "k": 0, "d": 0, "h": %s}]}' % LONG_INT,
+            id="render-long-integer-h",
+        ),
     ],
 )
 def test_malformed_document_exit_2_one_line(tmp_path, capsys, verb, doc):

@@ -15,6 +15,7 @@ from phl.linalg import DimensionMismatch, MatrixQ, Subspace, image, join
 from phl.models import lefschetz
 
 from conftest import (
+    dense,
     jordan_nilpotent,
     random_conjugated_nilpotent,
     random_invertible,
@@ -161,7 +162,7 @@ def test_uniqueness_by_perturbation_small_dims():
 def test_filtration_of_other_pieces_rejected(k3):
     # a filtration of the assembled matrix has one piece, L_beta has three
     op = lefschetz(k3, k3.classes.beta)
-    w = weight_filtration(NilpotentOperator(k3.lefschetz_matrix(k3.classes.beta)), 1)
+    w = weight_filtration(NilpotentOperator(dense(k3.lefschetz_matrix(k3.classes.beta), 24)), 1)
     with pytest.raises(DimensionMismatch, match="pieces"):
         verify_weight_axioms(op, w)
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from phl.filtration import NilpotentOperator, weight_filtration
+from phl.filtration import NilpotentOperator, NotNilpotentError, weight_filtration
 from phl.lie import (
     GradingOperator,
     Sl2CompletionError,
@@ -18,17 +18,25 @@ from phl.lie import (
     so6_generators,
     so6_report,
 )
-from phl.linalg import MatrixQ, Subspace, kernel
+from phl.lie import _nilpotent
+from phl.linalg import DimensionMismatch, MatrixQ, Subspace, kernel
 from phl.models import DistinguishedClasses
 
-from conftest import random_invertible, random_rational_matrix
+from conftest import (
+    dense,
+    random_conjugated_nilpotent,
+    random_invertible,
+    random_partition,
+    random_rational_matrix,
+    sparse,
+)
 
 
 def test_sl2_complete_j2_transpose():
-    L = MatrixQ([[0, 0], [1, 0]])  # raises the grading diag(-1, 1)
+    L = {(1, 0): 1}  # raises the grading diag(-1, 1)
     H = GradingOperator("test", (-1, 1))
     lam = sl2_complete(L, H)
-    assert lam == L.transpose()
+    assert lam == {(0, 1): 1}  # the transpose of L
 
 
 def test_k3_sigma_bar_triple_closes_exactly(k3):
@@ -37,8 +45,8 @@ def test_k3_sigma_bar_triple_closes_exactly(k3):
     lam = sl2_complete(L, hq)
     assert bracket(L, lam) == hq.matrix()
     # eigenvalues of [L, A] are exactly the grading integers
-    comm = bracket(L, lam).array
-    assert all(comm[i][i] == hq.diag[i] for i in range(24))
+    comm = bracket(L, lam)
+    assert all(comm.get((i, i), 0) == hq.diag[i] for i in range(24))
 
 
 def test_k3_sigma_bar_fails_degree_grading(k3):
@@ -50,9 +58,9 @@ def test_k3_sigma_bar_fails_degree_grading(k3):
 def test_sl2_uniqueness_by_affine_solve(k3):
     # brute-force oracle on the K3 model: solve [L, X] = H over the
     # grading(-2) block and confirm the solution space is a single point
-    L = k3.lefschetz_matrix(k3.classes.sigma_bar).array
+    L = dense(k3.lefschetz_matrix(k3.classes.sigma_bar), 24).array
     hq = hodge_q_grading(k3)
-    lam = sl2_complete(MatrixQ(L), hq)
+    lam = dense(sl2_complete(sparse(L), hq), 24)
     diag = hq.diag
     D = 24
     unknowns = [(i, j) for i in range(D) for j in range(D) if diag[i] - diag[j] == -2]
@@ -82,7 +90,7 @@ def test_primitive_dimensions_from_kernel_of_lambda(k3):
     # ker(A) ∩ V_{-k} are the primitives: dim = dim V_{-k} - dim V_{-k-2}
     hq = hodge_q_grading(k3)
     L = k3.lefschetz_matrix(k3.classes.sigma_bar)
-    lam = sl2_complete(L, hq).array
+    lam = dense(sl2_complete(L, hq), 24).array
     diag = hq.diag
     D = 24
     level = {}
@@ -100,7 +108,7 @@ def test_primitive_dimensions_from_kernel_of_lambda(k3):
 
 
 def test_lie_closure_single_triple_is_sl2():
-    L = MatrixQ([[0, 0], [1, 0]])
+    L = {(1, 0): 1}
     H = GradingOperator("test", (-1, 1))
     lam = sl2_complete(L, H)
     alg = lie_closure([L, lam, H.matrix()])
@@ -143,9 +151,9 @@ def test_membership_generator_and_trace_obstruction(k3):
     for g in gens:
         assert membership(alg, g)
     # every basis element is trace-free, so the identity cannot belong
-    for b in alg.basis_matrices():
-        assert sum(b.array[i][i] for i in range(24)) == 0
-    assert not membership(alg, MatrixQ.identity(24))
+    for b in alg.canonical_rows():
+        assert sum(b.get((i, i), 0) for i in range(24)) == 0
+    assert not membership(alg, {(i, i): 1 for i in range(24)})
     # linearity of x -> L_x puts L_beta = L_{beta+omega} - L_omega in the span
     assert membership(alg, k3.lefschetz_matrix(k3.classes.beta))
 
@@ -158,13 +166,13 @@ def test_closure_idempotence(k3):
         gens.extend([lx, sl2_complete(lx, h0)])
     gens.append(h0.matrix())
     alg = lie_closure(gens)
-    again = lie_closure(alg.basis_matrices())
+    again = lie_closure(alg.canonical_rows())
     assert again.dim == alg.dim
 
 
 def test_closure_conjugation_equivariance():
     rng = random.Random(21)
-    L = MatrixQ([[0, 0, 0], [1, 0, 0], [0, 1, 0]])  # J3-style raising chain
+    L = {(1, 0): 1, (2, 1): 1}  # J3-style raising chain
     H = GradingOperator("test", (-2, 0, 2))
     lam = sl2_complete(L, H)
     base = lie_closure([L, lam, H.matrix()])
@@ -173,7 +181,7 @@ def test_closure_conjugation_equivariance():
     for _ in range(3):
         g = random_invertible(rng, 3)
         gi = inverse(g)
-        conj = [g @ x @ gi for x in (L, lam, H.matrix())]
+        conj = [sparse(g @ dense(x, 3) @ gi) for x in (L, lam, H.matrix())]
         assert lie_closure(conj).dim == base.dim
 
 
@@ -183,15 +191,15 @@ def test_lambda_scale_covariance_and_weight_invariance(k3):
     lam = sl2_complete(L, hq)
     lbeta = k3.lefschetz_matrix(k3.classes.beta)
     base = weight_filtration(
-        NilpotentOperator(bracket(lbeta, lam)), 1
+        NilpotentOperator(dense(bracket(lbeta, lam), 24)), 1
     ).graded_dims
     rng = random.Random(33)
     for _ in range(3):
         c = Fraction(rng.randint(1, 9), rng.randint(1, 9)) * rng.choice([1, -1])
-        lam_scaled = sl2_complete(MatrixQ([[x * c for x in row] for row in L.array]), hq)
-        assert lam_scaled == MatrixQ([[x / c for x in row] for row in lam.array])
+        lam_scaled = sl2_complete({key: x * c for key, x in L.items()}, hq)
+        assert lam_scaled == {key: x / c for key, x in lam.items()}
         w = weight_filtration(
-            NilpotentOperator(bracket(lbeta, lam_scaled)), 1
+            NilpotentOperator(dense(bracket(lbeta, lam_scaled), 24)), 1
         ).graded_dims
         assert w == base
 
@@ -225,15 +233,16 @@ def test_bracket_matches_dense_products():
     for n in (1, 3, 6):
         a, b = random_rational_matrix(rng, n, n), random_rational_matrix(rng, n, n)
         ab, ba = (a @ b).array, (b @ a).array
-        assert bracket(a, b) == MatrixQ([[x - y for x, y in zip(r, s)] for r, s in zip(ab, ba)])
-    L = MatrixQ([[0, 0, 0], [1, 0, 0], [0, 0, 0]])
-    assert bracket(L, L).is_zero()
+        want = MatrixQ([[x - y for x, y in zip(r, s)] for r, s in zip(ab, ba)])
+        assert bracket(sparse(a), sparse(b)) == sparse(want)
+    L = {(1, 0): 1}
+    assert bracket(L, L) == {}
 
 
 def _assert_sl2_triple(L, lam, H):
     h = H.matrix()
     assert bracket(L, lam) == h
-    assert bracket(h, lam) == MatrixQ([[-2 * x for x in row] for row in lam.array])
+    assert bracket(h, lam) == {key: -2 * x for key, x in lam.items()}
 
 
 def test_partners_satisfy_sl2_relations_on_shipped_models(shipped_models):
@@ -248,7 +257,7 @@ def test_partners_satisfy_sl2_relations_on_shipped_models(shipped_models):
 
 
 def test_sl2_complete_rejects_operator_not_raising_by_two():
-    L = MatrixQ([[0, 1], [0, 0]])  # lowers the grading diag(-1, 1)
+    L = {(0, 1): 1}  # lowers the grading diag(-1, 1)
     with pytest.raises(
         Sl2CompletionError, match=r"\[H, L\] != 2L: entry \(0, 1\) connects grading 1 to -1"
     ):
@@ -256,7 +265,7 @@ def test_sl2_complete_rejects_operator_not_raising_by_two():
 
 
 def test_sl2_complete_rejects_unbalanced_grading_dimensions():
-    L = MatrixQ([[0, 0, 0], [1, 0, 0], [0, 0, 0]])
+    L = {(1, 0): 1}
     with pytest.raises(
         Sl2CompletionError, match="grading -1 has dimension 1 but grading 1 has dimension 2"
     ):
@@ -270,8 +279,36 @@ def test_so6_basis_brackets_stay_in_closure(verb_n2_b5):
         lx = verb_n2_b5.lefschetz_matrix(x)
         gens.extend([lx, sl2_complete(lx, h0)])
     alg = lie_closure(gens)
-    basis = alg.basis_matrices()
+    basis = alg.canonical_rows()
     assert len(basis) == 15
     for i, a in enumerate(basis):
         for b in basis[i + 1 :]:
             assert membership(alg, bracket(a, b))
+
+
+def test_sl2_complete_rejects_entry_outside_the_grading():
+    with pytest.raises(DimensionMismatch, match=r"entry \(2, 0\) outside a grading of size 2"):
+        sl2_complete({(2, 0): 1}, GradingOperator("test", (-1, 1)))
+
+
+def test_sparse_nilpotency_agrees_with_nilpotent_operator():
+    # conjugated Jordan nilpotents, and the same with one diagonal entry
+    # added, which makes the trace nonzero; a single Jordan block needs
+    # every power up to the size of the space
+    rng = random.Random(13)
+    verdicts = set()
+    for n in (1, 2, 3, 5, 6):
+        for _ in range(4):
+            m = random_conjugated_nilpotent(rng, random_partition(rng, n))
+            bumped = [list(row) for row in m.array]
+            i = rng.randrange(n)
+            bumped[i][i] += Fraction(rng.randint(1, 3), rng.randint(1, 2)) * rng.choice([1, -1])
+            for a in (m, MatrixQ(bumped)):
+                try:
+                    NilpotentOperator(a)
+                    want = True
+                except NotNilpotentError:
+                    want = False
+                assert _nilpotent(sparse(a)) == want
+                verdicts.add(want)
+    assert verdicts == {True, False}

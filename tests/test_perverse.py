@@ -14,6 +14,8 @@ from phl.perverse import (
     perverse_filtration,
 )
 
+from conftest import dense
+
 K3_GOLDEN = {
     (0, 0, 0): 1,
     (0, 0, 2): 1,
@@ -94,7 +96,7 @@ def test_per_piece_chains_equal_the_one_piece_path(shipped_models, name, cls):
     # the whole space from the assembled matrix, then cut to each piece
     m = shipped_models[name]
     x = getattr(m.classes, cls)
-    blocks, matrix = lefschetz(m, x), NilpotentOperator(m.lefschetz_matrix(x))
+    blocks, matrix = lefschetz(m, x), NilpotentOperator(dense(m.lefschetz_matrix(x), m.total_dim))
     assert jordan_partition(blocks) == jordan_partition(matrix)
     graded, whole = weight_filtration(blocks, m.n), weight_filtration(matrix, m.n)
     D = m.total_dim
