@@ -8,18 +8,19 @@ from grading g to g+2, the restricted powers L^k from grading -k are
 products of those blocks, and the primitives of grading -k are the kernel
 of L^(k+1) there.  Over the strings L^j p of a primitive of lowest weight
 -k, Λ(L^j p) = j(k-j+1) L^(j-1) p, which gives each block of Λ as
-S_(g-2) C S_g^(-1) with S_g the string vectors of grading g.  Uniqueness
-is classical sl2 theory; [L, Λ] = H is re-verified exactly on every
-diagonal block before returning.
+S_(g-2) C S_g^(-1) with S_g the string vectors of grading g.  Λ is unique
+(classical sl2 theory), so any basis of the primitives will do; [L, Λ] = H
+is re-verified exactly on every diagonal block before returning.
 
 Every operator here is sparse: a dict {(row, col): entry} of its nonzero
 exact entries on the total space, carrying no size.  ``lie_closure``
-span-saturates iterated brackets.  It scales operators to primitive
-integer dicts and reduces them in ``linalg.SpanReducer``, the same exact
-elimination that computes every subspace, so independence and membership
-decisions are certified, never numerical; the (row, col) keys sort
-row-major.  The block products inside ``sl2_complete`` are ``linalg._dot``,
-the product behind ``MatrixQ @``.
+brackets each element found once against each generator not in the span
+at its turn; the span then holds this kept set S, is ad(S)-stable and is
+made of brackets of S, so it is Lie(S) and holds the skipped generators.
+Operators are primitive integer dicts reduced in ``linalg.SpanReducer``,
+the same exact elimination that computes every subspace, so keep/skip,
+independence and membership decisions are certified, never numerical;
+the (row, col) keys sort row-major.
 """
 
 from __future__ import annotations
@@ -33,10 +34,11 @@ from .linalg import (
     SpanReducer,
     _dot,
     _integer,
+    _null_rows,
     _primitive,
+    _rref,
     _transpose,
-    inverse,
-    kernel,
+    solve,
 )
 from .report import CheckReport
 
@@ -88,8 +90,8 @@ def sl2_complete(L: dict, H: GradingOperator) -> dict:
 
     Works on the grading blocks of L: checks [H, L] = 2L on its nonzero
     entries, checks hard Lefschetz on each restricted power L^k from
-    grading -k, builds the primitive strings in local coordinates, inverts
-    the string matrix of each grading and forms Λ block by block.
+    grading -k, builds the primitive strings in local coordinates and
+    solves for each block of Λ from the string vectors of its grading.
     """
     lam = H.diag
     D = len(lam)
@@ -143,7 +145,7 @@ def sl2_complete(L: dict, H: GradingOperator) -> dict:
                     f"hard Lefschetz fails: L^{k} maps the grading -{k} piece (dim {len(lo)}) "
                     f"to a rank-{r} image in the grading {k} piece; no sl2 partner exists"
                 )
-        prim = list(kernel(MatrixQ.from_rows(powers[k + 1], w)).grid)
+        prim = _null_rows(*_rref(powers[k + 1], w), w)
         string = [prim] + [
             _dot(prim, _transpose(powers[j], w), dim(2 * j - k)) for j in range(1, k + 1)
         ]
@@ -160,15 +162,11 @@ def sl2_complete(L: dict, H: GradingOperator) -> dict:
 
     # Λ from grading g to g - 2 is S_(g-2) C S_g^(-1), with the string and
     # image vectors of grading g as the columns of S_g and S_(g-2) C; its
-    # transpose is inverse(S_g^T) times the image vectors as rows.  Then
-    # [L, Λ] = H is checked blockwise.
-    partner = {
-        g: _transpose(
-            _dot(inverse(MatrixQ.from_rows(strings[g], len(cs))).array, images[g], dim(g - 2)),
-            dim(g - 2),
-        )
-        for g, cs in coords.items()
-    }
+    # transpose X solves S_g^T X = images as rows.  [L, Λ] = H is checked below.
+    partner = {}
+    for g, cs in coords.items():
+        xt = solve(MatrixQ.from_rows(strings[g], len(cs)), MatrixQ.from_rows(images[g], dim(g - 2)))
+        partner[g] = _transpose(xt.array, dim(g - 2))
     out = {}
     for g, cs in coords.items():
         n = len(cs)
@@ -222,22 +220,25 @@ def lie_closure(generators) -> SpanReducer:
     """Smallest bracket-closed subspace containing the generators, as the
     ``SpanReducer`` of its primitive integer operators.
 
-    New elements are bracketed against the generators only; by the Jacobi
-    identity that already saturates the generated subalgebra.  Terminates
-    since the dimension is bounded by (ambient dim)^2.
+    Walks the generators in order, skipping for good one the span already
+    holds, and brackets each element found once against each kept one.
+    The span V then holds the kept set S, is ad(S)-stable and is made of
+    brackets of S, so V = Lie(S), which holds the skipped generators too.
     """
     gens = [_integer(g) for g in generators]
     if not gens:
         raise ValueError("empty generator list")
-    indexed = [_indexed(g) for g in gens]
-    reducer = SpanReducer()
-    queue = [g for g in gens if reducer.insert(g)]
-    while queue:
-        a = queue.pop()
-        for rows, cols in indexed:
-            c = _primitive(_bracket(a, rows, cols))
-            if reducer.insert(c):
-                queue.append(c)
+    reducer, elements, kept = SpanReducer(), [], []
+    for g in gens:
+        if reducer.insert(g):
+            elements.append(g)
+            kept.append(_indexed(g))
+            old = len(elements)  # the elements up to g still have to meet g only
+            for i, a in enumerate(elements):  # also visits the elements appended below
+                for k in kept[-1:] if i < old else kept:
+                    c = _primitive(_bracket(a, *k))
+                    if c and reducer.insert(c):
+                        elements.append(c)
     return reducer
 
 

@@ -35,7 +35,7 @@ __all__ = [
     "meet",
     "join",
     "map_subspace",
-    "inverse",
+    "solve",
 ]
 
 
@@ -406,7 +406,7 @@ def kernel(m: MatrixQ) -> Subspace:
     """Null space {v : m @ v == 0} as a canonical subspace."""
     m = _matrix(m)
     vecs = _null_rows(*_rref(m.array, m.cols), m.cols)
-    return Subspace.span(vecs) if vecs else Subspace.zero(m.cols)
+    return Subspace(m.cols, *_rref(vecs, m.cols))
 
 
 def image(m: MatrixQ) -> Subspace:
@@ -451,13 +451,12 @@ def map_subspace(m: MatrixQ, s: Subspace) -> Subspace:
     return Subspace.span(s.basis() @ m.transpose())
 
 
-def inverse(m: MatrixQ) -> MatrixQ:
-    """Exact inverse of a square matrix; raises ValueError if singular."""
-    if m.rows != m.cols:
-        raise DimensionMismatch("inverse of a non-square matrix")
-    n = m.rows
-    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m.array)]
-    grid, pivots = _rref(aug, 2 * n)
-    if list(pivots) != list(range(n)):
+def solve(a: MatrixQ, b: MatrixQ) -> MatrixQ:
+    """The X with a @ X == b, from one RREF of [a | b]; ValueError if a is singular."""
+    if not a.rows == a.cols == b.rows:
+        raise DimensionMismatch(f"solve needs a square a with b's rows: {a!r}, {b!r}")
+    n = a.rows
+    grid, pivots = _rref([list(x) + list(y) for x, y in zip(a.array, b.array)], n + b.cols)
+    if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
-    return MatrixQ.from_rows([row[n:] for row in grid], n)
+    return MatrixQ.from_rows([row[n:] for row in grid], b.cols)

@@ -122,8 +122,8 @@ def random_partition(rng: random.Random, total):
 
 def random_conjugated_nilpotent(rng: random.Random, parts):
     """Change-of-basis conjugate of the Jordan nilpotent with these parts."""
-    from phl.linalg import inverse
+    from phl.linalg import solve
 
     j = jordan_nilpotent(parts)
     g = random_invertible(rng, j.rows)
-    return g @ j @ inverse(g)
+    return g @ j @ solve(g, MatrixQ.identity(j.rows))

@@ -18,8 +18,9 @@ from phl.lie import (
     so6_generators,
     so6_report,
 )
+from phl import lie
 from phl.lie import _nilpotent
-from phl.linalg import DimensionMismatch, MatrixQ, Subspace, kernel
+from phl.linalg import DimensionMismatch, MatrixQ, SpanReducer, Subspace, _integer, kernel
 from phl.models import DistinguishedClasses
 
 from conftest import (
@@ -158,6 +159,74 @@ def test_membership_generator_and_trace_obstruction(k3):
     assert membership(alg, k3.lefschetz_matrix(k3.classes.beta))
 
 
+def _reference_closure(gens):
+    """Independent oracle: every element found is bracketed against every
+    generator, and no generator is skipped."""
+    span = SpanReducer()
+    queue = [g for g in gens if span.insert(_integer(g))]
+    while queue:
+        a = queue.pop()
+        for g in gens:
+            c = bracket(a, g)
+            if c and span.insert(_integer(c)):
+                queue.append(c)
+    return span
+
+
+def _triples(model, classes):
+    """L_x and its degree-graded partner for each class x, then the grading."""
+    h0 = degree_grading(model)
+    ops = []
+    for x in classes:
+        lx = model.lefschetz_matrix(x)
+        ops += [lx, sl2_complete(lx, h0)]
+    return ops + [h0.matrix()]
+
+
+def test_lie_closure_matches_reference_in_any_generator_order(shipped_models):
+    rng = random.Random(8)
+    for name, m in shipped_models.items():
+        for gens in (_triples(m, so6_generators(m)), _triples(m, lefschetz_spanning_set(m))):
+            want = _reference_closure(gens).canonical_rows()
+            shuffled = list(gens)
+            rng.shuffle(shuffled)
+            # prepended, 2 gens[0] - 6 gens[1] makes gens[1] a skipped generator
+            combination = {k: 2 * gens[0].get(k, 0) - 6 * gens[1].get(k, 0) for k in {*gens[0], *gens[1]}}
+            combination = {k: x for k, x in combination.items() if x}
+            orders = [gens, gens[::-1], shuffled, [combination] + gens, [bracket(gens[0], gens[1])] + gens]
+            for order in orders:
+                assert lie_closure(order).canonical_rows() == want, name
+
+
+def test_late_generator_outside_the_algebra_enlarges_the_closure(k3):
+    assert lie_closure([{(1, 0): 1}]).dim == 1
+    assert lie_closure([{(1, 0): 1}, {(0, 1): 1}]).dim == 3  # sl2
+    early = _triples(k3, so6_generators(k3))
+    base = lie_closure(early)
+    assert base.dim == 15
+    x = next(x for x in lefschetz_spanning_set(k3) if not membership(base, k3.lefschetz_matrix(x)))
+    gens = early + [k3.lefschetz_matrix(x)]
+    alg = lie_closure(gens)
+    assert alg.dim > 15
+    assert alg.canonical_rows() == _reference_closure(gens).canonical_rows()
+
+
+def test_k3_closure_brackets_each_element_with_each_kept_generator_once(k3, monkeypatch):
+    # 23 of the 45 generators are kept (L_e1 ... L_e22 and one partner), so
+    # each of the 276 elements meets at most 23 of them
+    gens = _triples(k3, lefschetz_spanning_set(k3))
+    calls = []
+    real = lie._bracket
+
+    def counting(a, rows, cols):
+        calls.append(1)
+        return real(a, rows, cols)
+
+    monkeypatch.setattr(lie, "_bracket", counting)
+    assert lie_closure(gens).dim == 276
+    assert len(calls) <= 276 * 23
+
+
 def test_closure_idempotence(k3):
     h0 = degree_grading(k3)
     gens = []
@@ -176,11 +245,11 @@ def test_closure_conjugation_equivariance():
     H = GradingOperator("test", (-2, 0, 2))
     lam = sl2_complete(L, H)
     base = lie_closure([L, lam, H.matrix()])
-    from phl.linalg import inverse
+    from phl.linalg import solve
 
     for _ in range(3):
         g = random_invertible(rng, 3)
-        gi = inverse(g)
+        gi = solve(g, MatrixQ.identity(3))
         conj = [sparse(g @ dense(x, 3) @ gi) for x in (L, lam, H.matrix())]
         assert lie_closure(conj).dim == base.dim
 

@@ -12,11 +12,11 @@ from phl.linalg import (
     _frac,
     _integer_row,
     image,
-    inverse,
     join,
     kernel,
     meet,
     reduce,
+    solve,
 )
 
 from conftest import random_invertible, random_matrix, random_rational_matrix
@@ -272,10 +272,37 @@ def test_is_graded_matches_the_splitting_definition():
 
 def test_inverse():
     m = MatrixQ([[2, 1], [1, 1]])
-    inv = inverse(m)
+    inv = solve(m, MatrixQ.identity(2))
     assert inv @ m == MatrixQ.identity(2)
     with pytest.raises(ValueError):
-        inverse(MatrixQ([[1, 1], [1, 1]]))
+        solve(MatrixQ([[1, 1], [1, 1]]), MatrixQ.identity(2))
+
+
+def test_solve_satisfies_a_x_equals_b():
+    rng = random.Random(41)
+    for n in (1, 2, 4, 7):
+        a = random_rational_matrix(rng, n, n)
+        while a.rank() < n:
+            a = random_rational_matrix(rng, n, n)
+        for width in (0, 1, n, n + 3):
+            b = random_rational_matrix(rng, n, width)
+            x = solve(a, b)
+            assert (x.rows, x.cols) == (n, width)
+            assert a @ x == b
+
+
+def test_solve_rejects_singular_and_non_square():
+    rng = random.Random(43)
+    for n in (2, 3, 5):
+        rows = [list(r) for r in random_rational_matrix(rng, n, n).array]
+        rows[-1] = [-2 * x for x in rows[0]]
+        for width in (0, 2):
+            with pytest.raises(ValueError, match="singular"):
+                solve(MatrixQ(rows), random_rational_matrix(rng, n, width))
+    with pytest.raises(DimensionMismatch):
+        solve(MatrixQ.zeros(2, 3), MatrixQ.zeros(2, 1))
+    with pytest.raises(DimensionMismatch):
+        solve(MatrixQ.identity(2), MatrixQ.zeros(3, 1))
 
 
 def mixed_matrix(rng: random.Random, rows, cols):
