@@ -18,7 +18,6 @@ from .linalg import (
     join,
     kernel,
     meet,
-    reduce,
 )
 from .models import (
     DistinguishedClasses,

@@ -107,7 +107,8 @@ def _symmetry_witnesses(c: PerverseHodgeCube, g: SignedPermutation):
         return []
     bad = []
     n = c.n
-    for (i, k, d), h in sorted(c.entries.items(), key=lambda t: (t[0][2], t[0][1], t[0][0])):
+    for i, k, d in c.support():
+        h = c.entries[(i, k, d)]
         ii, kk, ee = g.apply((i, k, d - n))
         got = c.get(ii, kk, ee + n)
         if got != h:
@@ -124,9 +125,9 @@ def bounds_check(c: PerverseHodgeCube) -> CheckReport:
     t0 = time.perf_counter()
     bad = []
     observed = {}
-    for (i, k, d), h in sorted(c.entries.items(), key=lambda t: (t[0][2], t[0][1], t[0][0])):
+    for i, k, d in c.support():
         if abs(i) > d or abs(k) > d:
-            bad.append([i, k, d, h])
+            bad.append([i, k, d, c.entries[(i, k, d)]])
         o = observed.setdefault(str(d), {"max_abs_i": 0, "max_abs_k": 0, "max_abs_i_plus_k": 0})
         o["max_abs_i"] = max(o["max_abs_i"], abs(i))
         o["max_abs_k"] = max(o["max_abs_k"], abs(k))
@@ -191,8 +192,8 @@ def octahedron_conjecture_check(c: PerverseHodgeCube) -> CheckReport:
     n = c.n
     t0 = time.perf_counter()
     bad = [
-        [i, k, d, h]
-        for (i, k, d), h in sorted(c.entries.items(), key=lambda t: (t[0][2], t[0][1], t[0][0]))
+        [i, k, d, c.entries[(i, k, d)]]
+        for i, k, d in c.support()
         if abs(i) + abs(k) > min(d, 2 * n - d)
     ]
     rep.add(

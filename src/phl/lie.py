@@ -34,9 +34,10 @@ from .linalg import (
     SpanReducer,
     _dot,
     _integer,
-    _null_rows,
+    _integer_row,
+    _null_vectors,
     _primitive,
-    _rref,
+    _span_of,
     _transpose,
     solve,
 )
@@ -145,7 +146,8 @@ def sl2_complete(L: dict, H: GradingOperator) -> dict:
                     f"hard Lefschetz fails: L^{k} maps the grading -{k} piece (dim {len(lo)}) "
                     f"to a rank-{r} image in the grading {k} piece; no sl2 partner exists"
                 )
-        prim = _null_rows(*_rref(powers[k + 1], w), w)
+        null = _null_vectors(_span_of(map(_integer_row, powers[k + 1])), w)
+        prim = [[v.get(c, 0) for c in range(w)] for v in null]
         string = [prim] + [
             _dot(prim, _transpose(powers[j], w), dim(2 * j - k)) for j in range(1, k + 1)
         ]

@@ -4,18 +4,18 @@ Matrices hold their rows as plain Python lists of exact entries, in one
 canonical form (``_frac``): an int when integral, else a Fraction, which
 compares and hashes as the equal int would.  All arithmetic is exact.
 Products multiply nonzero entries only (``_dot``).
-Subspaces are stored as reduced row echelon bases with strictly increasing
-pivot columns, so two subspaces are equal exactly when their basis grids
-are equal.
 
 Every elimination runs in ``SpanReducer``: rows are scaled to primitive
 integer vectors held as sparse dicts, reduced fraction-free by
 cross-multiplication and gcd division, and kept fully back-reduced, one
-per pivot column.  Division by the pivots happens only when the canonical
-rows are read off.  The RREF is unique, so the result does not depend on
-the order in which rows are inserted.  Subspace membership reduces the
-vector against a ``SpanReducer`` of the basis, cached on the subspace, and
-``lie`` closes operator algebras on the same reducer.
+per pivot column, with a positive pivot entry.  Division by the pivots
+happens only when the canonical rows are read off.  The RREF is unique
+and so is that scaling of its rows, so the rows do not depend on the
+order in which they are inserted.  A ``Subspace`` is its reducer: two
+subspaces are equal exactly when their reducer rows are, membership
+reduces a vector against those rows, and the dense basis ``grid`` is a
+view computed from them.  ``lie`` closes operator algebras on the same
+reducer.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ __all__ = [
     "MatrixQ",
     "Subspace",
     "SpanReducer",
-    "reduce",
     "kernel",
     "image",
     "meet",
@@ -104,9 +103,10 @@ def _integer_row(entries) -> dict:
 class SpanReducer:
     """Incremental exact RREF over sparse integer vectors.
 
-    Rows are primitive integer dicts, fully back-reduced, one per pivot
-    column; a vector reduces to the empty dict exactly when it lies in the
-    span.
+    Rows are primitive integer dicts with a positive pivot entry, fully
+    back-reduced, one per pivot column; a vector reduces to the empty dict
+    exactly when it lies in the span.  A stored row is never changed in
+    place, so reducers may share rows.
     """
 
     def __init__(self):
@@ -159,39 +159,27 @@ class SpanReducer:
         return out
 
 
-def _rref(rows, cols: int):
-    """Reduced row echelon form of an exact matrix given by its rows.
-
-    Returns (rows, pivots) where rows is a tuple of tuples of canonical
-    entries (the nonzero RREF rows, pivot entries equal to 1) and pivots the
-    strictly increasing pivot column indices.
-    """
-    reducer = SpanReducer()
-    for row in rows:
-        reducer.insert(_integer_row(row))
-    zero = (0,) * cols
-    out = []
-    for row in reducer.canonical_rows():
-        full = list(zero)
-        for c, x in row.items():
-            full[c] = x
-        out.append(tuple(full))
-    return tuple(out), sorted(reducer.rows)
+def _span_of(vectors) -> SpanReducer:
+    """A fresh ``SpanReducer`` holding the RREF of the span of the given
+    sparse integer vectors."""
+    span = SpanReducer()
+    for v in vectors:
+        span.insert(v)
+    return span
 
 
-def _null_rows(grid, pivots, cols: int) -> list:
-    """One vector per non-pivot column f of an RREF: e_f minus the entries
-    of column f at the pivots.  They span the null space of the RREF."""
-    piv = set(pivots)
+def _null_vectors(span: SpanReducer, cols: int) -> list:
+    """One integer vector per non-pivot column f < cols of the RREF in span.
+    With L the lcm of the pivot entries row[p] of the rows that have an
+    entry at f, it is L at f and -row[f] * L / row[p] at each such pivot p.
+    They span the null space of the rows."""
     out = []
     for f in range(cols):
-        if f in piv:
+        if f in span.rows:
             continue
-        v = [0] * cols
-        v[f] = 1
-        for row, p in zip(grid, pivots):
-            v[p] = -row[f]
-        out.append(v)
+        hits = [(p, row[p], row[f]) for p, row in span.rows.items() if f in row]
+        lcm = math.lcm(*(pv for _, pv, _ in hits))
+        out.append({f: lcm, **{p: -x * (lcm // pv) for p, pv, x in hits}})
     return out
 
 
@@ -282,7 +270,7 @@ class MatrixQ:
         return not any(x for row in self._a for x in row)
 
     def rank(self) -> int:
-        return len(_rref(self._a, self.cols)[1])
+        return _span_of(map(_integer_row, self._a)).dim
 
     def __eq__(self, other):
         if not isinstance(other, MatrixQ):
@@ -301,24 +289,24 @@ def _matrix(m) -> MatrixQ:
 
 
 class Subspace:
-    """Rational subspace given by its canonical reduced-row-echelon basis.
+    """Rational subspace of Q^ambient_dim, held as the ``SpanReducer`` of
+    its RREF.
 
-    Basis vectors are the rows of `grid`; two Subspace values are equal
-    exactly when their grids are identical.
+    The reducer rows are unique, so two Subspace values are equal exactly
+    when their rows are; ``grid`` and ``pivots`` are views computed from
+    them.  A subspace never inserts into its reducer after construction.
     """
 
-    __slots__ = ("ambient_dim", "grid", "pivots", "_constraints", "_reducer")
+    __slots__ = ("ambient_dim", "reducer", "_constraints")
 
-    def __init__(self, ambient_dim: int, grid, pivots):
+    def __init__(self, ambient_dim: int, reducer: SpanReducer):
         self.ambient_dim = ambient_dim
-        self.grid = grid
-        self.pivots = tuple(pivots)
+        self.reducer = reducer
         self._constraints = None
-        self._reducer = None
 
     @classmethod
     def zero(cls, n: int) -> "Subspace":
-        return cls(n, (), ())
+        return cls(n, SpanReducer())
 
     @classmethod
     def full(cls, n: int) -> "Subspace":
@@ -327,9 +315,9 @@ class Subspace:
     @classmethod
     def coordinates(cls, n: int, coords) -> "Subspace":
         """Span of the standard basis vectors e_c, c in coords, of Q^n."""
-        coords = sorted(coords)
-        grid = tuple(tuple(int(j == c) for j in range(n)) for c in coords)
-        return cls(n, grid, coords)
+        span = SpanReducer()
+        span.rows = {c: {c: 1} for c in coords}  # already an RREF
+        return cls(n, span)
 
     @classmethod
     def span(cls, vectors, ambient_dim: int | None = None) -> "Subspace":
@@ -339,12 +327,27 @@ class Subspace:
             if ambient_dim is None:
                 raise ValueError("ambient_dim required for an empty span")
             return cls.zero(ambient_dim)
-        grid, pivots = _rref(m.array, m.cols)
-        return cls(m.cols, grid, pivots)
+        return cls(m.cols, _span_of(map(_integer_row, m.array)))
 
     @property
     def dim(self) -> int:
-        return len(self.grid)
+        return self.reducer.dim
+
+    @property
+    def pivots(self) -> tuple:
+        """The pivot columns of the RREF, increasing."""
+        return tuple(sorted(self.reducer.rows))
+
+    @property
+    def grid(self) -> tuple:
+        """The RREF basis as dense rows of canonical entries, unit pivots, by pivot."""
+        out = []
+        for row in self.reducer.canonical_rows():
+            full = [0] * self.ambient_dim
+            for c, x in row.items():
+                full[c] = x
+            out.append(tuple(full))
+        return tuple(out)
 
     def basis(self) -> MatrixQ:
         return MatrixQ.from_rows(self.grid, self.ambient_dim)
@@ -354,66 +357,49 @@ class Subspace:
         w = [_frac(x) for x in v]
         if len(w) != self.ambient_dim:
             raise DimensionMismatch(f"vector of length {len(w)} in Q^{self.ambient_dim}")
-        return self.reducer().contains(_integer_row(w))
+        return self.reducer.contains(_integer_row(w))
 
     def is_graded(self, labels) -> bool:
-        """Whether the subspace is graded by the labels of the coordinates:
-        whether every basis row carries one label (see
-        ``SpanReducer.is_graded``)."""
-        return all(len({labels[c] for c, x in enumerate(row) if x}) == 1 for row in self.grid)
-
-    def reducer(self) -> SpanReducer:
-        """The basis rows in a ``SpanReducer``, built once and cached."""
-        if self._reducer is None:
-            self._reducer = SpanReducer()
-            for row in self.grid:
-                self._reducer.insert(_integer_row(row))
-        return self._reducer
+        """Whether the subspace is graded by the labels of the coordinates
+        (see ``SpanReducer.is_graded``)."""
+        return self.reducer.is_graded(labels)
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(row) for row in other.grid)
+        _check_same_ambient(self, other)
+        return all(self.reducer.contains(row) for row in other.reducer.rows.values())
 
     def constraints(self) -> list:
-        """Rows of a matrix C with self == {x : C @ x == 0}; cached.
-
-        One constraint per non-pivot column, read directly off the RREF
-        basis, so no extra elimination is needed.
-        """
+        """Sparse integer rows {column: entry} of a matrix C with
+        self == {x : C @ x == 0}, one per non-pivot column, read directly
+        off the RREF; cached."""
         if self._constraints is None:
-            self._constraints = _null_rows(self.grid, self.pivots, self.ambient_dim)
+            self._constraints = _null_vectors(self.reducer, self.ambient_dim)
         return self._constraints
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
-        return self.ambient_dim == other.ambient_dim and self.grid == other.grid
+        return self.ambient_dim == other.ambient_dim and self.reducer.rows == other.reducer.rows
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.grid))
+        rows = self.reducer.rows
+        return hash((self.ambient_dim, tuple(frozenset(rows[p].items()) for p in sorted(rows))))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
-def reduce(m: MatrixQ):
-    """Canonical row-space basis and rank of a matrix."""
-    m = _matrix(m)
-    grid, pivots = _rref(m.array, m.cols)
-    return Subspace(m.cols, grid, pivots), len(pivots)
-
-
 def kernel(m: MatrixQ) -> Subspace:
     """Null space {v : m @ v == 0} as a canonical subspace."""
     m = _matrix(m)
-    vecs = _null_rows(*_rref(m.array, m.cols), m.cols)
-    return Subspace(m.cols, *_rref(vecs, m.cols))
+    rows = _span_of(map(_integer_row, m.array))
+    return Subspace(m.cols, _span_of(_null_vectors(rows, m.cols)))
 
 
 def image(m: MatrixQ) -> Subspace:
     """Column space of m, i.e. the span of m @ v over all v."""
     m = _matrix(m)
-    grid, pivots = _rref(_transpose(m.array, m.cols), m.rows)
-    return Subspace(m.rows, grid, pivots)
+    return Subspace(m.rows, _span_of(map(_integer_row, zip(*m.array))))
 
 
 def _check_same_ambient(a: Subspace, b: Subspace) -> None:
@@ -422,24 +408,29 @@ def _check_same_ambient(a: Subspace, b: Subspace) -> None:
 
 
 def meet(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection a ∩ b."""
+    """Intersection a ∩ b: the null space of the constraints of both."""
     _check_same_ambient(a, b)
     ca, cb = a.constraints(), b.constraints()
     if not ca:
         return b
     if not cb:
         return a
-    return kernel(MatrixQ.from_rows(ca + cb, a.ambient_dim))
+    n = a.ambient_dim
+    return Subspace(n, _span_of(_null_vectors(_span_of(ca + cb), n)))
 
 
 def join(a: Subspace, b: Subspace) -> Subspace:
-    """Sum a + b."""
+    """Sum a + b: the rows of the larger one, with the rows of the other inserted."""
     _check_same_ambient(a, b)
-    if a.dim == 0:
-        return b
+    if a.dim < b.dim:
+        a, b = b, a
     if b.dim == 0:
         return a
-    return Subspace.span(list(a.grid) + list(b.grid))
+    span = SpanReducer()
+    span.rows = dict(a.reducer.rows)
+    for row in b.reducer.rows.values():
+        span.insert(row)
+    return Subspace(a.ambient_dim, span)
 
 
 def map_subspace(m: MatrixQ, s: Subspace) -> Subspace:
@@ -456,7 +447,9 @@ def solve(a: MatrixQ, b: MatrixQ) -> MatrixQ:
     if not a.rows == a.cols == b.rows:
         raise DimensionMismatch(f"solve needs a square a with b's rows: {a!r}, {b!r}")
     n = a.rows
-    grid, pivots = _rref([list(x) + list(y) for x, y in zip(a.array, b.array)], n + b.cols)
-    if pivots[:n] != list(range(n)):
+    span = _span_of(_integer_row([*x, *y]) for x, y in zip(a.array, b.array))
+    if sorted(span.rows)[:n] != list(range(n)):
         raise ValueError("matrix is singular")
-    return MatrixQ.from_rows([row[n:] for row in grid], b.cols)
+    return MatrixQ.from_rows(
+        [[row.get(c, 0) for c in range(n, n + b.cols)] for row in span.canonical_rows()], b.cols
+    )

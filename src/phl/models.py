@@ -13,7 +13,9 @@ is never formed (``_quotient_piece``).
 
 Everything is exact: complex conjugation is modeled as the basis
 involution swapping the sigma and sigma-bar tags, which is enough for
-every dimension count downstream.
+every dimension count downstream.  ``conj[d]`` holds it on piece d as
+sparse columns {t: {r: value}}, the image of basis vector t, in the form
+of ``_Piece.proj``.
 
 The structure constants are stored sparse: ``mult[(a, b)]`` maps a pair
 (i, j) of basis indices of pieces a and b to the product e_i * e_j as
@@ -39,7 +41,7 @@ from operator import add
 from typing import NamedTuple
 
 from .filtration import NilpotentOperator
-from .linalg import MatrixQ, SpanReducer, _frac, _integer_row, reduce
+from .linalg import MatrixQ, _frac, _integer_row, _span_of
 from .report import CheckReport
 
 __all__ = [
@@ -337,7 +339,7 @@ class GradedAlgebraModel:
         self.mult = mult  # {(a, b): {(i, j): {k: value}}}, nonzero constants only
         self.integral_vec = integral_vec  # functional on the top piece
         self.classes = classes
-        self.conj = conj  # list of MatrixQ blocks, piece d
+        self.conj = conj  # per piece d, sparse columns {t: {r: value}}
         self.quotients = quotients  # list of _Piece, piece d
         self.validation = None
         self.pieces = 2 * n + 1
@@ -462,8 +464,7 @@ def _check_classes(quad: QuadraticSpace, classes: DistinguishedClasses) -> list:
         bad.append("q(beta, omega) == 0")
     if q(classes.sigma, classes.sigma_bar) == 0:
         bad.append("q(sigma, sigma_bar) == 0")
-    _, rank = reduce(MatrixQ(classes.as_rows()))
-    if rank != 4:
+    if MatrixQ(classes.as_rows()).rank() != 4:
         bad.append("sigma, sigma_bar, beta, omega are linearly dependent")
     return bad
 
@@ -505,9 +506,7 @@ def _quotient_piece(gram, d: int, mono, dual) -> _Piece:
     free.  Column c of the RREF writes the pairing of x_c through the pivot
     columns, so it is the projection of x_c onto that basis.
     """
-    span = SpanReducer()
-    for row in _pairing_matrix(gram, dual, mono[::-1]).array:
-        span.insert(_integer_row(row))
+    span = _span_of(map(_integer_row, _pairing_matrix(gram, dual, mono[::-1]).array))
     if span.dim != len(dual):
         raise ModelError(
             f"pairing kernel in degree {2 * d} has codimension {span.dim}, expected {len(dual)}"
@@ -583,15 +582,17 @@ def _symmetric_power_model(spec: ModelSpec) -> GradedAlgebraModel:
     if top_int == 0:
         raise ModelError("top-degree integral vanishes; gram is unusable")
 
-    # conjugation swaps the exponents of sigma and sigma-bar, coordinates 0 and 1
+    # conjugation swaps the exponents of sigma and sigma-bar, coordinates 0
+    # and 1; column t is the projection of the swapped basis monomial
     conj = []
     for piece in pieces:
-        c = [[0] * piece.dim for _ in range(piece.dim)]
+        c = {}
         for t, cm in enumerate(piece.basis_monomials):
             e = piece.mono[cm]
-            for r, x in piece.proj.get(piece.idx[(e[1], e[0]) + e[2:]], {}).items():
-                c[r][t] = x
-        conj.append(MatrixQ.from_rows(c, piece.dim))
+            col = piece.proj.get(piece.idx[(e[1], e[0]) + e[2:]])
+            if col:
+                c[t] = dict(col)
+        conj.append(c)
 
     return GradedAlgebraModel(
         kind=spec.kind,
@@ -701,34 +702,30 @@ def validate(model: GradedAlgebraModel) -> CheckReport:
     bad = []
     for d in range(P):
         c = model.conj[d]
-        if (c @ c) != MatrixQ.identity(dims[d]):
+        if any(_combine(c, _combine(c, {t: 1})) != {t: 1} for t in range(dims[d])):
             bad.append(("involution", 2 * d))
         for t, (p, q) in enumerate(model.bidegrees[d]):
-            for r in range(dims[d]):
-                if c.array[r][t] and model.bidegrees[d][r] != (q, p):
-                    bad.append(("bidegree_swap", 2 * d, t))
-                    break
+            if any(model.bidegrees[d][r] != (q, p) for r in _combine(c, {t: 1})):
+                bad.append(("bidegree_swap", 2 * d, t))
     rep.add("conj_involution", not bad, witnesses=bad[:5], seconds=time.perf_counter() - t0)
 
     t0 = time.perf_counter()
     bad = []
-    # conj as sparse columns: conj_cols[d][t] is the image of basis vector t
-    conj_cols = [dict(enumerate(map(_sparse, zip(*c.array)))) for c in model.conj]
     for (da, db), t in mult.items():
-        ca, cb, cc = conj_cols[da], conj_cols[db], conj_cols[da + db]
+        ca, cb, cc = model.conj[da], model.conj[db], model.conj[da + db]
         if any(
-            _combine(cc, _product(t, {i: 1}, {j: 1})) != _product(t, ca[i], cb[j])
+            _combine(cc, _product(t, {i: 1}, {j: 1})) != _product(t, ca.get(i, {}), cb.get(j, {}))
             for i in range(dims[da])
             for j in range(dims[db])
         ):
             bad.append((2 * da, 2 * db))
     c2 = model.conj[1]
     cls = model.classes
-    if c2.apply(cls.sigma) != tuple(cls.sigma_bar):
+    if _combine(c2, _sparse(cls.sigma)) != _sparse(cls.sigma_bar):
         bad.append("conj(sigma) != sigma_bar")
-    if c2.apply(cls.beta) != tuple(cls.beta):
+    if _combine(c2, _sparse(cls.beta)) != _sparse(cls.beta):
         bad.append("conj(beta) != beta")
-    if c2.apply(cls.omega) != tuple(cls.omega):
+    if _combine(c2, _sparse(cls.omega)) != _sparse(cls.omega):
         bad.append("conj(omega) != omega")
     rep.add("conj_algebra_map", not bad, witnesses=bad[:5], seconds=time.perf_counter() - t0)
 

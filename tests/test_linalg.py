@@ -15,7 +15,6 @@ from phl.linalg import (
     join,
     kernel,
     meet,
-    reduce,
     solve,
 )
 
@@ -53,14 +52,14 @@ def span_of(rows, n=None):
 
 
 def test_reduce_identity():
-    s, rank = reduce(MatrixQ.identity(2))
-    assert rank == 2
+    s = Subspace.span(MatrixQ.identity(2))
+    assert s.dim == 2
     assert s == Subspace.full(2)
 
 
 def test_reduce_proportional_rows():
-    s, rank = reduce(MatrixQ([[1, 2], [2, 4]]))
-    assert rank == 1
+    s = Subspace.span(MatrixQ([[1, 2], [2, 4]]))
+    assert s.dim == 1
     assert s.grid == ((Fraction(1), Fraction(2)),)
 
 
@@ -68,8 +67,7 @@ def test_reduce_rank_matches_ff_oracle():
     rng = random.Random(17)
     for _ in range(25):
         m = random_rational_matrix(rng, 4, 4)
-        _, rank = reduce(m)
-        assert rank == ff_rank(m.grid())
+        assert Subspace.span(m).dim == m.rank() == ff_rank(m.grid())
 
 
 def test_reduce_canonical_under_row_equivalence():
@@ -77,8 +75,8 @@ def test_reduce_canonical_under_row_equivalence():
     for _ in range(15):
         m = random_matrix(rng, 4, 6)
         g = random_invertible(rng, 4)
-        s1, _ = reduce(m)
-        s2, _ = reduce(g @ m)
+        s1 = Subspace.span(m)
+        s2 = Subspace.span(g @ m)
         assert s1 == s2
         assert hash(s1) == hash(s2)
 
@@ -119,8 +117,8 @@ def test_meet_transverse_lines():
 def test_meet_join_dimension_formula():
     rng = random.Random(11)
     for _ in range(20):
-        a, _ = reduce(random_matrix(rng, 3, 5))
-        b, _ = reduce(random_matrix(rng, 3, 5))
+        a = Subspace.span(random_matrix(rng, 3, 5))
+        b = Subspace.span(random_matrix(rng, 3, 5))
         assert join(a, b).dim + meet(a, b).dim == a.dim + b.dim
 
 
@@ -136,9 +134,9 @@ def test_join_two_lines_span_plane():
 def test_lattice_laws_random_triples():
     rng = random.Random(23)
     for _ in range(10):
-        a, _ = reduce(random_matrix(rng, 2, 4))
-        b, _ = reduce(random_matrix(rng, 2, 4))
-        c, _ = reduce(random_matrix(rng, 2, 4))
+        a = Subspace.span(random_matrix(rng, 2, 4))
+        b = Subspace.span(random_matrix(rng, 2, 4))
+        c = Subspace.span(random_matrix(rng, 2, 4))
         assert meet(a, b) == meet(b, a)
         assert join(a, b) == join(b, a)
         assert meet(meet(a, b), c) == meet(a, meet(b, c))
@@ -153,6 +151,41 @@ def test_meet_ambient_mismatch():
         meet(Subspace.full(2), Subspace.full(3))
     with pytest.raises(DimensionMismatch):
         join(Subspace.full(2), Subspace.full(3))
+
+
+def test_join_is_the_span_of_both_bases():
+    rng = random.Random(71)
+    for _ in range(30):
+        cols = rng.randint(1, 6)
+        a = Subspace.span(random_rational_matrix(rng, rng.randint(1, cols), cols, lo=-2, hi=2))
+        b = Subspace.span(random_rational_matrix(rng, rng.randint(1, cols), cols, lo=-2, hi=2))
+        for x, y in ((a, b), (a, Subspace.zero(cols)), (Subspace.full(cols), b), (Subspace.zero(cols), b)):
+            rows = list(x.grid) + list(y.grid)
+            assert join(x, y) == Subspace.span(rows, ambient_dim=cols)
+            assert join(x, y).dim == ff_rank(rows)
+
+
+def test_kernel_and_image_dimensions_match_ff_rank():
+    rng = random.Random(73)
+    for _ in range(30):
+        m = random_rational_matrix(rng, rng.randint(1, 5), rng.randint(1, 5), lo=-2, hi=2)
+        rank = ff_rank(m.grid())
+        assert kernel(m).dim == m.cols - rank
+        assert image(m).dim == rank
+
+
+def test_equality_and_hash_ignore_the_order_of_spanning_rows():
+    rng = random.Random(79)
+    for _ in range(30):
+        m = random_rational_matrix(rng, rng.randint(1, 5), rng.randint(1, 5), lo=-2, hi=2)
+        s = Subspace.span(m)
+        for _ in range(3):
+            rows = [list(row) for row in m.array]
+            rng.shuffle(rows)
+            t = Subspace.span(rows)
+            assert t == s
+            assert hash(t) == hash(s)
+            assert t.grid == s.grid and t.pivots == s.pivots
 
 
 def test_image_is_column_space():
@@ -210,12 +243,15 @@ def test_eliminations_give_canonical_entries():
     for _ in range(20):
         m = random_rational_matrix(rng, 4, 5)
         s = Subspace.span(m)
-        grids = (m.array, s.grid, kernel(m).grid, image(m).grid, s.constraints())
+        grids = (m.array, s.grid, kernel(m).grid, image(m).grid)
         assert all(canonical(x) for g in grids for row in g for x in row)
-        assert all(canonical(x) for row in s.reducer().canonical_rows() for x in row.values())
+        assert all(canonical(x) for row in s.reducer.canonical_rows() for x in row.values())
+        # the constraints and the stored reducer rows are integer vectors
+        sparse = (s.constraints(), s.reducer.rows.values())
+        assert all(type(x) is int for rows in sparse for row in rows for x in row.values())
     # an integer matrix whose pivots divide every entry eliminates to ints
     m = MatrixQ([[Fraction(2), 4, 6], [1, 1, Fraction(3, 3)]])
-    grids = (m.array, reduce(m)[0].grid, kernel(m).grid, Subspace.coordinates(3, [0, 2]).grid)
+    grids = (m.array, Subspace.span(m).grid, kernel(m).grid, Subspace.coordinates(3, [0, 2]).grid)
     assert all(type(x) is int for g in grids for row in g for x in row)
     assert _integer_row([0, 2, 4, -6]) == {1: 1, 2: 2, 3: -3}
     assert _integer_row([Fraction(1, 2), 0, Fraction(-2, 3)]) == {0: 3, 2: -4}

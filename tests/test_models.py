@@ -168,9 +168,12 @@ def _bump_last_projection(m, d):
 
 
 def _negate_conj_entry(m, d, r):
-    a = [list(row) for row in m.conj[d].array]
-    a[r][r] = -a[r][r]
-    m.conj[d] = MatrixQ(a)
+    col = m.conj[d][r]
+    col[r] = -col[r]
+
+
+def _double_conj(m, d):
+    m.conj[d] = {t: {r: 2 * x for r, x in col.items()} for t, col in m.conj[d].items()}
 
 
 # one corruption per structural check of validate, with the witnesses the
@@ -187,7 +190,7 @@ CORRUPTIONS = [
         [0, 2, 4, 6, 8],
     ),
     ("mult_bigraded", lambda m: _bump(m.mult[(1, 1)], 2, 2, 0), [(2, 2, 2, 2, 0)]),
-    ("conj_involution", lambda m: m.conj.__setitem__(1, MatrixQ([[2 * x for x in row] for row in m.conj[1].array])), [("involution", 2)]),
+    ("conj_involution", lambda m: _double_conj(m, 1), [("involution", 2)]),
     ("conj_algebra_map", lambda m: _negate_conj_entry(m, 1, 4), [(2, 2), (2, 4), (2, 6), (4, 2), (6, 2)]),
     ("verbitsky_kernel_ideal", lambda m: _bump_last_projection(m, 4), [(6, 7, 4), (6, 8, 3), (6, 26, 4), (6, 27, 3)]),
 ]
@@ -281,13 +284,22 @@ def test_fujiki_relation(verb_n2_b5, verb_n3_b5):
             assert m.integral(power) == dfact * m.q(a, a) ** n
 
 
+def _apply_columns(cols, v):
+    """The vector sum over t of v[t] times column t, as a tuple."""
+    out = [0] * len(v)
+    for t, x in enumerate(v):
+        for r, y in cols.get(t, {}).items():
+            out[r] += x * y
+    return tuple(out)
+
+
 def test_conjugation_fixes_beta_omega_swaps_sigma(k3, verb_n2_b5):
     for m in (k3, verb_n2_b5):
         c2 = m.conj[1]
-        assert c2.apply(m.classes.sigma) == m.classes.sigma_bar
-        assert c2.apply(m.classes.sigma_bar) == m.classes.sigma
-        assert c2.apply(m.classes.beta) == m.classes.beta
-        assert c2.apply(m.classes.omega) == m.classes.omega
+        assert _apply_columns(c2, m.classes.sigma) == m.classes.sigma_bar
+        assert _apply_columns(c2, m.classes.sigma_bar) == m.classes.sigma
+        assert _apply_columns(c2, m.classes.beta) == m.classes.beta
+        assert _apply_columns(c2, m.classes.omega) == m.classes.omega
 
 
 def test_lefschetz_zero_class(k3):
@@ -362,7 +374,7 @@ def test_shipped_models_hold_canonical_scalars(shipped_models):
             "gram": [x for row in m.quad.gram for x in row],
             "classes": [x for c in m.classes.as_rows() for x in c],
             "integral_vec": list(m.integral_vec),
-            "conj": [x for c in m.conj for row in c.array for x in row],
+            "conj": [x for c in m.conj for col in c.values() for x in col.values()],
             "l_beta": [x for b in lefschetz(m, m.classes.beta).blocks for row in b.array for x in row],
             "perverse_steps": [x for s in steps for row in s.grid for x in row],
         }
