@@ -3,14 +3,15 @@
 ``sl2_complete`` produces, for a raising operator L and a diagonal grading
 H with [H, L] = 2L satisfying hard Lefschetz, the unique lowering partner
 with [H, Λ] = -2Λ and [L, Λ] = H.  Both operators are homogeneous, so the
-construction runs one grading block at a time: L is sliced into its blocks
-from grading g to g+2, the restricted powers L^k from grading -k are
-products of those blocks, and the primitives of grading -k are the kernel
-of L^(k+1) there.  Over the strings L^j p of a primitive of lowest weight
--k, Λ(L^j p) = j(k-j+1) L^(j-1) p, which gives each block of Λ as
-S_(g-2) C S_g^(-1) with S_g the string vectors of grading g.  Λ is unique
-(classical sl2 theory), so any basis of the primitives will do; [L, Λ] = H
-is re-verified exactly on every diagonal block before returning.
+construction runs one grading at a time on L held as sparse columns
+{col: {row: entry}}: the images of grading -k under L^k are repeated
+column applications (``linalg._combine``), and the primitives of grading
+-k are the null vectors of L^(k+1) there.  Over the strings L^j p of a
+primitive of lowest weight -k, Λ(L^j p) = j(k-j+1) L^(j-1) p, so one
+elimination of the rows [s | Λs] of the strings s of grading g leaves
+[I | Λ^T] on that grading, the block of Λ read off its canonical rows.
+Λ is unique (classical sl2 theory), so any basis of the primitives will
+do; [L, Λ] = H is re-verified exactly before returning.
 
 Every operator here is sparse: a dict {(row, col): entry} of its nonzero
 exact entries on the total space, carrying no size.  ``lie_closure``
@@ -32,14 +33,11 @@ from .linalg import (
     DimensionMismatch,
     MatrixQ,
     SpanReducer,
-    _dot,
+    _combine,
     _integer,
-    _integer_row,
     _null_vectors,
     _primitive,
     _span_of,
-    _transpose,
-    solve,
 )
 from .report import CheckReport
 
@@ -89,25 +87,17 @@ def pq_difference_grading(model) -> GradingOperator:
 def sl2_complete(L: dict, H: GradingOperator) -> dict:
     """The unique Λ with [H, Λ] = -2Λ and [L, Λ] = H.
 
-    Works on the grading blocks of L: checks [H, L] = 2L on its nonzero
-    entries, checks hard Lefschetz on each restricted power L^k from
-    grading -k, builds the primitive strings in local coordinates and
-    solves for each block of Λ from the string vectors of its grading.
+    Works on L as sparse columns: checks [H, L] = 2L on its nonzero
+    entries, checks hard Lefschetz on the images of grading -k under L^k,
+    builds the primitive strings and reads each block of Λ off one
+    elimination of the rows [s | Λs] of the strings s of its grading.
     """
     lam = H.diag
     D = len(lam)
     coords: dict[int, list] = {}
     for c, v in enumerate(lam):
         coords.setdefault(v, []).append(c)
-    local = {c: t for cs in coords.values() for t, c in enumerate(cs)}
-
-    def dim(g):
-        return len(coords.get(g, ()))
-
-    def zeros(g, width):  # rows of a zero block with values in grading g
-        return [[0] * width for _ in range(dim(g))]
-
-    blocks = {g: zeros(g + 2, len(cs)) for g, cs in coords.items()}
+    cols: dict[int, dict] = {}  # L as sparse columns {col: {row: entry}}
     for (i, j), x in L.items():
         if not (0 <= i < D and 0 <= j < D):
             raise DimensionMismatch(f"operator entry ({i}, {j}) outside a grading of size {D}")
@@ -115,15 +105,12 @@ def sl2_complete(L: dict, H: GradingOperator) -> dict:
             raise Sl2CompletionError(
                 f"[H, L] != 2L: entry ({i}, {j}) connects grading {lam[j]} to {lam[i]}"
             )
-        blocks[lam[j]][local[i]][local[j]] = x
-
-    def block(g):  # L from grading g to grading g + 2
-        return blocks[g] if g in blocks else zeros(g + 2, 0)
+        cols.setdefault(j, {})[i] = x
 
     # strings over primitives: P_k = (grading -k) ∩ ker L^(k+1); per grading
-    # g, the string vectors L^j p lying there and their images under Λ
-    strings: dict[int, list] = {g: [] for g in coords}
-    images: dict[int, list] = {g: [] for g in coords}
+    # g, the rows [s | Λs] of the string vectors s = L^j p lying there, with
+    # Λs keyed from D on so that the pivots fall on s
+    rows: dict[int, list] = {g: [] for g in coords}
     kmax = max((abs(v) for v in lam), default=0)
     for k in range(kmax + 1):
         lo = coords.get(-k, [])
@@ -135,50 +122,41 @@ def sl2_complete(L: dict, H: GradingOperator) -> dict:
             )
         if not lo:
             continue
-        w = len(lo)
-        powers = [None, block(-k)]  # powers[j] = L^j restricted to grading -k
-        for j in range(1, k + 1):
-            powers.append(_dot(block(2 * j - k), powers[-1], w))
+        powers = [{t: {c: 1} for t, c in enumerate(lo)}]  # powers[j][t] = L^j e_(lo[t])
+        for _ in range(k + 1):
+            powers.append({t: _combine(cols, v) for t, v in powers[-1].items()})
         if k:
-            r = MatrixQ.from_rows(powers[k], w).rank()
+            r = _span_of(map(_integer, powers[k].values())).dim
             if r != len(lo):
                 raise Sl2CompletionError(
                     f"hard Lefschetz fails: L^{k} maps the grading -{k} piece (dim {len(lo)}) "
                     f"to a rank-{r} image in the grading {k} piece; no sl2 partner exists"
                 )
-        null = _null_vectors(_span_of(map(_integer_row, powers[k + 1])), w)
-        prim = [[v.get(c, 0) for c in range(w)] for v in null]
-        string = [prim] + [
-            _dot(prim, _transpose(powers[j], w), dim(2 * j - k)) for j in range(1, k + 1)
-        ]
-        for j, vecs in enumerate(string):
-            strings[2 * j - k].extend(vecs)
-            images[2 * j - k].extend(
-                [[x * (j * (k - j + 1)) for x in v] for v in string[j - 1]]
-                if j
-                else [[0] * dim(-k - 2) for _ in prim]
-            )
-    spanned = sum(len(vs) for vs in strings.values())
+        top: dict[int, dict] = {}  # rows of L^(k+1) on grading -k, by local column t
+        for t, v in powers[k + 1].items():
+            for i, x in v.items():
+                top.setdefault(i, {})[t] = x
+        for p in _null_vectors(_span_of(map(_integer, top.values())), len(lo)):
+            string = [_combine(powers[j], p) for j in range(k + 1)]
+            rows[-k].append(string[0])  # Λp = 0
+            for j in range(1, k + 1):
+                image = {i + D: x * (j * (k - j + 1)) for i, x in string[j - 1].items()}
+                rows[2 * j - k].append({**string[j], **image})
+    spanned = sum(map(len, rows.values()))
     if spanned != D:
         raise Sl2CompletionError(f"primitive strings span {spanned} of {D} dimensions")
 
-    # Λ from grading g to g - 2 is S_(g-2) C S_g^(-1), with the string and
-    # image vectors of grading g as the columns of S_g and S_(g-2) C; its
-    # transpose X solves S_g^T X = images as rows.  [L, Λ] = H is checked below.
-    partner = {}
-    for g, cs in coords.items():
-        xt = solve(MatrixQ.from_rows(strings[g], len(cs)), MatrixQ.from_rows(images[g], dim(g - 2)))
-        partner[g] = _transpose(xt.array, dim(g - 2))
+    # with the strings of grading g independent, the RREF of [S | SΛ^T] is
+    # [I | Λ^T]: row c holds the column Λe_c at the keys from D on
     out = {}
     for g, cs in coords.items():
-        n = len(cs)
-        up = _dot(block(g - 2), partner[g], n)
-        down = _dot(partner.get(g + 2, zeros(g, 0)), block(g), n)
-        comm = [[x - y for x, y in zip(ru, rd)] for ru, rd in zip(up, down)]
-        if comm != [[g * (r == c) for c in range(n)] for r in range(n)]:
-            raise Sl2CompletionError("internal: [L, partner] != H")
-        for i, row in zip(coords.get(g - 2, ()), partner[g]):
-            out.update({(i, j): x for j, x in zip(cs, row) if x})
+        span = _span_of(map(_integer, rows[g]))
+        if sorted(span.rows) != cs:
+            raise Sl2CompletionError(f"primitive strings of grading {g} are dependent")
+        for c, row in zip(cs, span.canonical_rows()):
+            out.update({(i - D, c): x for i, x in row.items() if i >= D})
+    if bracket(L, out) != H.matrix():
+        raise Sl2CompletionError("internal: [L, partner] != H")
     return out
 
 

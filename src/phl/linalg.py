@@ -3,7 +3,10 @@
 Matrices hold their rows as plain Python lists of exact entries, in one
 canonical form (``_frac``): an int when integral, else a Fraction, which
 compares and hashes as the equal int would.  All arithmetic is exact.
-Products multiply nonzero entries only (``_dot``).
+Dense products multiply nonzero entries only (``_dot``); an operator held
+as sparse columns {col: {row: entry}} is applied to a sparse vector by
+``_combine``, the one sparse application that ``map_subspace``, the
+model's structure constants and ``lie.sl2_complete`` share.
 
 Every elimination runs in ``SpanReducer``: rows are scaled to primitive
 integer vectors held as sparse dicts, reduced fraction-free by
@@ -92,6 +95,17 @@ def _integer(v: dict) -> dict:
         denom = math.lcm(*(x.denominator for x in v.values()))
         v = {c: x.numerator * (denom // x.denominator) for c, x in v.items()}
     return _primitive(v)
+
+
+def _combine(columns, coeffs: dict) -> dict:
+    """Sum of coeffs[key] * columns[key] as a sparse vector without zeros;
+    a key absent from columns is a zero column.  With columns {col: {row:
+    entry}} of an operator, this applies it to the sparse vector coeffs."""
+    out = {}
+    for key, c in coeffs.items():
+        for k, x in columns.get(key, {}).items():
+            out[k] = out.get(k, 0) + c * x
+    return {k: x for k, x in out.items() if x}
 
 
 def _integer_row(entries) -> dict:
@@ -349,9 +363,6 @@ class Subspace:
             out.append(tuple(full))
         return tuple(out)
 
-    def basis(self) -> MatrixQ:
-        return MatrixQ.from_rows(self.grid, self.ambient_dim)
-
     def contains(self, v) -> bool:
         """Exact membership of a vector (any iterable of rationals)."""
         w = [_frac(x) for x in v]
@@ -434,12 +445,15 @@ def join(a: Subspace, b: Subspace) -> Subspace:
 
 
 def map_subspace(m: MatrixQ, s: Subspace) -> Subspace:
-    """Image m(s) of a subspace under the operator m."""
+    """Image m(s) of a subspace under the operator m: the span of the
+    images of the integer reducer rows, through the columns of m on their
+    support."""
     if s.ambient_dim != m.cols:
         raise DimensionMismatch(f"subspace ambient {s.ambient_dim} != matrix cols {m.cols}")
-    if s.dim == 0:
-        return Subspace.zero(m.rows)
-    return Subspace.span(s.basis() @ m.transpose())
+    rows = s.reducer.rows.values()
+    support = {c for v in rows for c in v}
+    cols = {c: {r: row[c] for r, row in enumerate(m.array) if row[c]} for c in support}
+    return Subspace(m.rows, _span_of(_integer(_combine(cols, v)) for v in rows))
 
 
 def solve(a: MatrixQ, b: MatrixQ) -> MatrixQ:

@@ -20,8 +20,10 @@ of ``_Piece.proj``.
 The structure constants are stored sparse: ``mult[(a, b)]`` maps a pair
 (i, j) of basis indices of pieces a and b to the product e_i * e_j as
 {k: value} over the basis of piece a+b, and holds only the nonzero
-constants.  One product over the nonzeros (``_product``) serves ``cup``,
-the Lefschetz blocks and every check in ``validate``.
+constants.  One product over the nonzeros (``_product``, on the sparse
+column application ``linalg._combine``) serves ``cup``, the Lefschetz
+blocks and the checks in ``validate``; the Poincare pairings read their
+constants off ``mult`` directly.
 
 Cup product with a degree-2 class raises the degree by exactly 2, so
 ``lefschetz`` hands its blocks H^{2d} -> H^{2d+2} to ``NilpotentOperator``
@@ -41,7 +43,7 @@ from operator import add
 from typing import NamedTuple
 
 from .filtration import NilpotentOperator
-from .linalg import MatrixQ, _frac, _integer_row, _span_of
+from .linalg import MatrixQ, _combine, _frac, _integer_row, _span_of
 from .report import CheckReport
 
 __all__ = [
@@ -88,7 +90,7 @@ def default_gram(b2: int) -> list:
 class QuadraticSpace:
     """Degree-2 coordinate space with its pairing and Hodge tags."""
 
-    __slots__ = ("b2", "gram", "labels")
+    __slots__ = ("b2", "gram", "labels", "_entries")
 
     def __init__(self, b2: int, gram, labels):
         self.b2 = b2
@@ -104,6 +106,7 @@ class QuadraticSpace:
                     raise ModelError("gram is not symmetric")
         if MatrixQ(gram).rank() != b2:
             raise ModelError("gram is degenerate")
+        self._entries = [(i, j, g) for i, row in enumerate(gram) for j, g in enumerate(row) if g]
         s, sb = self.sigma_index, self.sigma_bar_index
         if gram[s][s] != 0 or gram[sb][sb] != 0:
             raise ModelError("sigma and sigma_bar must be isotropic")
@@ -119,9 +122,9 @@ class QuadraticSpace:
         return self.labels.index("sigma_bar")
 
     def pair(self, x, y) -> int | Fraction:
-        y = tuple(y)
-        gy = (sum(g * b for g, b in zip(row, y) if g) for row in self.gram)
-        return _frac(sum(a * c for a, c in zip(x, gy) if a))
+        """q(x, y) = Σ x_i g_ij y_j over the nonzero gram entries g_ij."""
+        x, y = tuple(x), tuple(y)
+        return _frac(sum(x[i] * g * y[j] for i, j, g in self._entries))
 
     def bidegree(self, i: int):
         return {"sigma": (2, 0), "sigma_bar": (0, 2)}.get(self.labels[i], (1, 1))
@@ -293,16 +296,6 @@ def matching_integral(gram, indices) -> int | Fraction:
 def _sparse(v) -> dict:
     """Nonzero entries of a coordinate vector as {index: value}."""
     return {i: x for i, x in enumerate(v) if x}
-
-
-def _combine(columns, coeffs: dict) -> dict:
-    """Sum of coeffs[key] * columns[key] as a sparse vector without zeros;
-    a key absent from columns is a zero column."""
-    out = {}
-    for key, c in coeffs.items():
-        for k, x in columns.get(key, {}).items():
-            out[k] = out.get(k, 0) + c * x
-    return {k: x for k, x in out.items() if x}
 
 
 def _product(t, u: dict, v: dict) -> dict:
@@ -678,11 +671,9 @@ def validate(model: GradedAlgebraModel) -> CheckReport:
     iv = model.integral_vec
     for d in range(P):
         dd = P - 1 - d
-        t = mult[(d, dd)]
-        pairing = [
-            [sum(x * iv[k] for k, x in _product(t, {i: 1}, {j: 1}).items()) for j in range(dims[dd])]
-            for i in range(dims[d])
-        ]
+        pairing = [[0] * dims[dd] for _ in range(dims[d])]
+        for (i, j), col in mult[(d, dd)].items():
+            pairing[i][j] = sum(x * iv[k] for k, x in col.items())
         if dims[d] != dims[dd] or MatrixQ(pairing).rank() != dims[d]:
             bad.append(2 * d)
     rep.add("poincare_nondegenerate", not bad, witnesses=bad, seconds=time.perf_counter() - t0)

@@ -20,7 +20,7 @@ from phl.lie import (
 )
 from phl import lie
 from phl.lie import _nilpotent
-from phl.linalg import DimensionMismatch, MatrixQ, SpanReducer, Subspace, _integer, kernel
+from phl.linalg import DimensionMismatch, MatrixQ, SpanReducer, Subspace, _integer, kernel, solve
 from phl.models import DistinguishedClasses
 
 from conftest import (
@@ -38,6 +38,39 @@ def test_sl2_complete_j2_transpose():
     H = GradingOperator("test", (-1, 1))
     lam = sl2_complete(L, H)
     assert lam == {(0, 1): 1}  # the transpose of L
+
+
+def test_sl2_complete_conjugated_standard_representation():
+    # V4 + V2 + V2 + V1 in string bases, its coordinates shuffled, then
+    # conjugated by an invertible block on each grading: Λ = g Λ_std g^-1
+    rng = random.Random(97)
+    weights = [w for k in (3, 1, 1, 0) for w in range(-k, k + 1, 2)]
+    pos = list(range(len(weights)))
+    rng.shuffle(pos)
+    D = len(weights)
+    diag = [0] * D
+    L_std, lam_std = {}, {}
+    start = 0
+    for k in (3, 1, 1, 0):
+        for j in range(k + 1):  # v_j = L^j v_0 of weight 2j - k
+            diag[pos[start + j]] = 2 * j - k
+            if j < k:
+                L_std[(pos[start + j + 1], pos[start + j])] = 1
+            if j:
+                lam_std[(pos[start + j - 1], pos[start + j])] = j * (k - j + 1)
+        start += k + 1
+    g = [[0] * D for _ in range(D)]
+    for w in set(diag):
+        cs = [c for c in range(D) if diag[c] == w]
+        block = random_invertible(rng, len(cs)).array
+        for a, ca in enumerate(cs):
+            for b, cb in enumerate(cs):
+                g[ca][cb] = block[a][b]
+    g = MatrixQ(g)
+    gi = solve(g, MatrixQ.identity(D))
+    H = GradingOperator("test", tuple(diag))
+    L = sparse(g @ dense(L_std, D) @ gi)
+    assert sl2_complete(L, H) == sparse(g @ dense(lam_std, D) @ gi)
 
 
 def test_k3_sigma_bar_triple_closes_exactly(k3):
@@ -245,8 +278,6 @@ def test_closure_conjugation_equivariance():
     H = GradingOperator("test", (-2, 0, 2))
     lam = sl2_complete(L, H)
     base = lie_closure([L, lam, H.matrix()])
-    from phl.linalg import solve
-
     for _ in range(3):
         g = random_invertible(rng, 3)
         gi = solve(g, MatrixQ.identity(3))

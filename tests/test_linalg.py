@@ -14,6 +14,7 @@ from phl.linalg import (
     image,
     join,
     kernel,
+    map_subspace,
     meet,
     solve,
 )
@@ -186,6 +187,21 @@ def test_equality_and_hash_ignore_the_order_of_spanning_rows():
             assert t == s
             assert hash(t) == hash(s)
             assert t.grid == s.grid and t.pivots == s.pivots
+
+
+def test_map_subspace_matches_the_dense_product():
+    # reference: the span of the RREF basis rows times m^T, through MatrixQ
+    rng = random.Random(83)
+    for _ in range(30):
+        n, rows = rng.randint(1, 6), rng.randint(1, 6)
+        m = random_rational_matrix(rng, rows, n, lo=-2, hi=2)
+        s = Subspace.span(random_rational_matrix(rng, rng.randint(1, n), n, lo=-2, hi=2))
+        for a in (m, MatrixQ.zeros(rows, n), MatrixQ.identity(n)):
+            for t in (s, Subspace.zero(n), Subspace.full(n)):
+                want = Subspace.span(MatrixQ.from_rows(t.grid, n) @ a.transpose(), ambient_dim=a.rows)
+                assert map_subspace(a, t) == want
+    with pytest.raises(DimensionMismatch):
+        map_subspace(MatrixQ.zeros(2, 3), Subspace.full(2))
 
 
 def test_image_is_column_space():

@@ -8,6 +8,7 @@ from phl.linalg import MatrixQ, kernel, solve
 from phl.models import (
     ModelError,
     ModelSpec,
+    QuadraticSpace,
     SpecError,
     build_model,
     default_gram,
@@ -319,6 +320,20 @@ def test_verbitsky_n2_l_beta_nilpotency(verb_n2_b5):
     assert not (lb @ lb).is_zero()
     assert (lb @ lb @ lb).is_zero()
     assert lefschetz(verb_n2_b5, verb_n2_b5.classes.beta).index == 2
+
+
+@pytest.mark.parametrize("b2,gram", [(22, None), (5, CUSTOM_GRAM_B5)], ids=["b22", "b5_custom"])
+def test_pair_matches_the_dense_form(b2, gram):
+    # q(x, y) against the dense sum over every gram entry
+    g = default_gram(b2) if gram is None else [[Fraction(x) for x in row] for row in gram]
+    quad = QuadraticSpace(b2, g, ["sigma", "sigma_bar"] + ["hodge11"] * (b2 - 2))
+    rng = random.Random(89)
+    for _ in range(20):
+        x = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(b2)]
+        y = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(b2)]
+        want = sum(x[i] * g[i][j] * y[j] for i in range(b2) for j in range(b2))
+        assert quad.pair(x, y) == want == quad.pair(y, x)
+    assert quad.pair([0] * b2, [1] * b2) == 0
 
 
 def test_monomial_bidegree():
